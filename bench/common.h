@@ -58,7 +58,6 @@ inline const core::Study& GetStudy() {
     static store::Ecosystem eco = store::Ecosystem::Generate(config);
     core::StudyOptions opts;
     opts.threads = StudyThreads();
-    opts.dynamic.parallel_phases = opts.threads != 1;
     opts.scan_cache = ScanCacheEnabled();
     std::fprintf(stderr, "[pinscope] running measurement pipeline (threads %d)...\n",
                  opts.threads);

@@ -7,36 +7,27 @@
 // chain-validation memo), and writes the results as machine-readable JSON
 // to BENCH_dynamic.json so CI can track the speedup over time.
 //
-// A second dimension compares the two study schedulers (DESIGN.md §13):
-// one full Study per scheduler over the same corpus — the phase-barrier
-// fan-out against the barrier-free per-app pipeline — reporting wall
-// milliseconds each plus the pipeline's peak ready-queue depth and queue
-// lock contention, with a byte-equality guard on the exports (the
-// schedulers must agree exactly). Both timed studies run WITHOUT an
-// observer (an attached observer journals every verdict, a cost that once
-// skewed this comparison); queue metrics come from one extra untimed
-// instrumented run. Both schedulers run at an explicit worker count —
+// A second section runs one instrumented full Study over the same corpus
+// (DESIGN.md §13) and records the scheduler's peak ready-queue depth and
+// queue lock contention. It runs at an explicit worker count —
 // PINSCOPE_BENCH_THREADS, default max(2, hardware threads) — never at
 // "hardware concurrency" directly: on a single-core CI box that default
-// used to resolve both sides to the inline serial path, making the
-// comparison serial-vs-serial and the numbers meaningless. The worker
-// count actually used is recorded as scheduler.workers in the JSON.
+// resolves to the inline serial path, which never builds a queue. The
+// worker count actually used is recorded as scheduler.workers in the JSON.
 //
 // Knobs: PINSCOPE_BENCH_SCALE_PCT (ecosystem scale in percent, default 5),
 //        PINSCOPE_BENCH_REPS (timed repetitions, default 5; best rep wins),
-//        PINSCOPE_BENCH_THREADS (scheduler-comparison workers, default
-//        max(2, hardware threads)).
+//        PINSCOPE_BENCH_THREADS (study workers, default max(2, hardware
+//        threads)).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <memory>
-#include <string>
 #include <thread>
 
 #include "bench_json.h"
-#include "core/export.h"
 #include "core/study.h"
 #include "dynamicanalysis/pipeline.h"
 #include "dynamicanalysis/sim_fixtures.h"
@@ -105,23 +96,6 @@ double TimedPass(const store::Ecosystem& eco, bool use_fixtures,
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
-/// One full Study under `scheduler`; returns wall milliseconds and leaves
-/// the CSV export (the equality guard) in `csv_out`.
-double TimedStudy(const store::Ecosystem& eco, core::SchedulerKind scheduler,
-                  int workers, std::string* csv_out, obs::Observer* observer) {
-  core::StudyOptions opts;
-  opts.scheduler = scheduler;
-  opts.threads = workers;
-  opts.dynamic.parallel_phases = true;
-  opts.observer = observer;
-  core::Study study(eco, opts);
-  const auto start = std::chrono::steady_clock::now();
-  study.Run();
-  const auto end = std::chrono::steady_clock::now();
-  *csv_out = core::ExportStudyCsv(study);
-  return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
 }  // namespace
 
 int main() {
@@ -167,43 +141,22 @@ int main() {
     }
   }
 
-  // Scheduler dimension: full studies, phase-barrier vs pipelined. Both
-  // sides run observer-free so the timings compare schedulers, not
-  // instrumentation.
+  // Untimed instrumented study: ready-queue high-water mark plus the
+  // queue-lock contention probe (obs/mutex.h). 0 / absent on single-core
+  // machines, where the scheduler's inline serial path never builds a queue.
   const int bench_threads =
       EnvInt("PINSCOPE_BENCH_THREADS",
              static_cast<int>(std::max(2u, std::thread::hardware_concurrency())));
-  double best_phases = 0.0, best_pipeline = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    std::string phases_csv, pipeline_csv;
-    const double phases_ms = TimedStudy(eco, core::SchedulerKind::kPhases,
-                                        bench_threads, &phases_csv, nullptr);
-    const double pipeline_ms = TimedStudy(eco, core::SchedulerKind::kPipeline,
-                                          bench_threads, &pipeline_csv, nullptr);
-    if (r == 0 || phases_ms < best_phases) best_phases = phases_ms;
-    if (r == 0 || pipeline_ms < best_pipeline) best_pipeline = pipeline_ms;
-    std::fprintf(stderr,
-                 "[pinscope] rep %d: scheduler phases %.2f ms, pipeline %.2f ms\n",
-                 r + 1, phases_ms, pipeline_ms);
-    if (phases_csv != pipeline_csv) {
-      std::fprintf(stderr, "FATAL: schedulers disagree on exported bytes\n");
-      return 1;
-    }
-  }
-  const double sched_speedup =
-      best_pipeline > 0.0 ? best_phases / best_pipeline : 0.0;
-
-  // Untimed instrumented pipeline run: ready-queue high-water mark plus the
-  // queue-lock contention probe (obs/mutex.h). 0 / absent on single-core
-  // machines, where the scheduler's inline serial path never builds a queue.
   std::uint64_t peak_depth = 0;
   std::uint64_t queue_contended = 0;
   double queue_wait_ms = 0.0;
   {
     obs::Observer sched_observer;
-    std::string instrumented_csv;
-    (void)TimedStudy(eco, core::SchedulerKind::kPipeline, bench_threads,
-                     &instrumented_csv, &sched_observer);
+    core::StudyOptions opts;
+    opts.threads = bench_threads;
+    opts.observer = &sched_observer;
+    core::Study study(eco, opts);
+    study.Run();
     const obs::MetricsSnapshot snap = sched_observer.metrics().Snapshot();
     if (const auto it = snap.gauges.find("sched.queue_peak_depth");
         it != snap.gauges.end()) {
@@ -235,8 +188,7 @@ int main() {
       "                        \"entries\": %zu, \"hit_rate\": %.4f},\n"
       "  \"validation_cache\": {\"lookups\": %zu, \"hits\": %zu, \"misses\": %zu,\n"
       "                       \"entries\": %zu, \"hit_rate\": %.4f},\n"
-      "  \"scheduler\": {\"phases_ms\": %.3f, \"pipeline_ms\": %.3f,\n"
-      "                \"speedup\": %.2f, \"workers\": %d,\n"
+      "  \"scheduler\": {\"workers\": %d,\n"
       "                \"queue_peak_depth\": %llu,\n"
       "                \"queue_lock_contended\": %llu,\n"
       "                \"queue_lock_wait_ms\": %.3f},\n",
@@ -244,8 +196,7 @@ int main() {
       best_on, speedup, on_result.pinned, forged.lookups, forged.hits,
       forged.misses, forged.entries, forged.HitRate(), validation.lookups,
       validation.hits, validation.misses, validation.entries,
-      validation.HitRate(), best_phases, best_pipeline, sched_speedup,
-      bench_threads,
+      validation.HitRate(), bench_threads,
       static_cast<unsigned long long>(peak_depth),
       static_cast<unsigned long long>(queue_contended), queue_wait_ms);
 

@@ -352,7 +352,6 @@ void BM_FullStudy(benchmark::State& state) {
   for (auto _ : state) {
     core::StudyOptions opts;
     opts.threads = threads;
-    opts.dynamic.parallel_phases = threads != 1;
     core::Study study(eco, opts);
     study.Run();
     apps = study.AllResults(appmodel::Platform::kAndroid).size() +
@@ -374,7 +373,7 @@ BENCHMARK(BM_FullStudy)
 // shared-destination ecosystem, without (arg 0) and with (arg 1) study
 // fixtures. Fixtures are recreated every iteration, so the forged-leaf and
 // validation caches start cold each pass — exactly a study's shape. Reports
-// are identical across arguments (tests/core/sim_cache_equivalence_test.cc);
+// are identical across arguments (tests/core/sim_fixtures_equivalence_test.cc);
 // only wall time changes.
 void BM_DynamicPipeline(benchmark::State& state) {
   static const store::Ecosystem eco = [] {

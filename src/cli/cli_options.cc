@@ -44,7 +44,7 @@ bool TakeValue(const std::string& arg, const std::string& flag,
   return false;
 }
 
-/// on|off flags (--scan-cache, --sim-cache, --summary).
+/// on|off flags (--scan-cache, --summary, --incremental).
 bool TakeOnOff(const std::string& arg, const std::string& flag,
                ArgCursor& cursor, bool& out, bool& ok) {
   std::string v;
@@ -87,14 +87,6 @@ std::optional<CliOptions> ParseArgs(int argc, const char* const* argv) {
       if (!v) return std::nullopt;
       opts.threads = std::atoi(v->c_str());
       if (opts.threads < 0) return std::nullopt;
-    } else if (TakeValue(arg, "--scheduler", cursor, value, ok)) {
-      if (!ok) return std::nullopt;
-      if (value != "phases" && value != "pipeline") {
-        std::fprintf(stderr, "--scheduler expects phases|pipeline, got '%s'\n",
-                     value.c_str());
-        return std::nullopt;
-      }
-      opts.scheduler = value;
     } else if (TakeValue(arg, "--queue-depth", cursor, value, ok)) {
       if (!ok) return std::nullopt;
       opts.queue_depth = std::atoi(value.c_str());
@@ -106,8 +98,6 @@ std::optional<CliOptions> ParseArgs(int argc, const char* const* argv) {
         return std::nullopt;
       }
     } else if (TakeOnOff(arg, "--scan-cache", cursor, opts.scan_cache, ok)) {
-      if (!ok) return std::nullopt;
-    } else if (TakeOnOff(arg, "--sim-cache", cursor, opts.sim_cache, ok)) {
       if (!ok) return std::nullopt;
     } else if (TakeOnOff(arg, "--summary", cursor, opts.summary, ok)) {
       if (!ok) return std::nullopt;

@@ -5,8 +5,8 @@
 // chain validation (validation tuple → verdict, x509/validation_cache.h).
 // Both are keyed purely by content, so their memos are valid across process
 // boundaries: a second study over an overlapping corpus can skip every scan
-// and validation the first one already did. These helpers give Study and the
-// streaming driver one shared load/save path rooted at a --cache-dir.
+// and validation the first one already did. These helpers give the study
+// driver (core/stream_study.h) its load/save path rooted at a --cache-dir.
 //
 // Failure policy (DESIGN.md §15): persistence is an accelerator, never a
 // dependency. A missing, truncated, corrupt, or version-skewed cache file
@@ -68,9 +68,9 @@ void SaveStudyCaches(const std::string& cache_dir,
                      const StudyCacheBaseline& baseline = {});
 
 /// Publishes the shared caches' counters as `cache.<family>.<field>` gauges
-/// (no-op without an observer). Shared by Study::Run and the streaming
-/// driver so both paths report identically. Gauges, not counters, so
-/// republishing is idempotent.
+/// (no-op without an observer). Called by the study driver when a run
+/// finishes (and by pinbench's serial ledger replay, so both report
+/// identically). Gauges, not counters, so republishing is idempotent.
 void PublishCacheGauges(obs::Observer* observer,
                         const staticanalysis::ScanCache* scan_cache,
                         const dynamicanalysis::SimFixtures* fixtures);

@@ -50,9 +50,9 @@ class CorpusSource {
 };
 
 /// CorpusSource over a materialized Ecosystem: Hydrate copies the stored
-/// app. Costs nothing new in memory (the Ecosystem is already resident) —
-/// this is the equivalence anchor proving streamed == materialized bytes,
-/// and the adapter the CLI uses for generator-backed corpora.
+/// app. Costs nothing new in memory beyond the in-flight copies (the
+/// Ecosystem is already resident) — the source Study::Run streams, and the
+/// adapter the CLI uses for generator-backed corpora.
 class EcosystemCorpusSource final : public CorpusSource {
  public:
   /// `eco` must outlive the source.

@@ -1,7 +1,6 @@
 #include "core/export.h"
 
-#include <utility>
-
+#include "core/stream_export.h"
 #include "report/csv_writer.h"
 #include "report/json_writer.h"
 
@@ -53,37 +52,15 @@ report::AppVerdict AppResultVerdict(const AppResult& r, appmodel::Platform p) {
 }
 
 std::string ExportStudyJson(const Study& study) {
-  std::string out;
-  for (const appmodel::Platform p :
-       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-    for (const AppResult* r : study.AllResults(p)) {
-      out += AppResultJsonLine(*r, p);
-    }
-  }
-  return out;
+  return study.exporter().FinishJson();
 }
 
 std::string ExportStudyCsv(const Study& study) {
-  report::CsvWriter csv;
-  csv.SetHeader(StudyCsvHeader());
-  for (const appmodel::Platform p :
-       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-    for (const AppResult* r : study.AllResults(p)) {
-      for (auto& row : AppResultCsvRows(*r, p)) csv.AddRow(std::move(row));
-    }
-  }
-  return csv.TakeString();
+  return study.exporter().FinishCsv();
 }
 
 std::vector<report::AppVerdict> CollectAppVerdicts(const Study& study) {
-  std::vector<report::AppVerdict> out;
-  for (const appmodel::Platform p :
-       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-    for (const AppResult* r : study.AllResults(p)) {
-      out.push_back(AppResultVerdict(*r, p));
-    }
-  }
-  return out;
+  return study.exporter().FinishVerdicts();
 }
 
 }  // namespace pinscope::core

@@ -3,8 +3,8 @@
 //
 // Both serializations iterate platforms in a fixed order and apps in
 // universe-index order, so the bytes depend only on the study's results —
-// never on thread count or completion order. The determinism-equivalence
-// suite (tests/core/parallel_study_test.cc) pins that property.
+// never on thread count or completion order. The golden digests in
+// tests/golden/ pin that property (tests/core/sched_equivalence_test.cc).
 #pragma once
 
 #include <string>
@@ -29,9 +29,9 @@ namespace pinscope::core {
     const Study& study);
 
 // --- Per-app building blocks ------------------------------------------------
-// The batch exports above and the streaming exporter (core/stream_export.h)
-// both compose these, so a streamed study's merged output is byte-identical
-// to the batch path by construction, not by parallel maintenance.
+// The streaming exporter (core/stream_export.h) renders each app's rows with
+// these the moment its verdict lands; the study exports above are that
+// exporter's ordered replays.
 
 /// One app's JSON Lines record, including the trailing newline.
 [[nodiscard]] std::string AppResultJsonLine(const AppResult& r,

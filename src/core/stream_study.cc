@@ -40,29 +40,29 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
       obs::PhaseHistogramOrNull(obs::MetricsOf(observer), "phase.study"));
   obs::EventScope study_log = obs::ScopeFor(observer, "", "", "study");
 
-  // Same shared caches as Study, warm-started from cache_dir when set.
+  // The study-wide shared caches, warm-started from cache_dir when set. The
+  // fixtures must share the pipeline's seed so shared forged leaves match
+  // what an unshared pipeline would forge.
   std::unique_ptr<staticanalysis::ScanCache> scan_cache;
   if (options.scan_cache) {
     scan_cache = std::make_unique<staticanalysis::ScanCache>();
   }
-  std::unique_ptr<dynamicanalysis::SimFixtures> sim_fixtures;
-  if (options.sim_cache) {
-    sim_fixtures =
-        std::make_unique<dynamicanalysis::SimFixtures>(options.dynamic.seed);
-  }
+  const auto sim_fixtures =
+      std::make_unique<dynamicanalysis::SimFixtures>(options.dynamic.seed);
   if (obs::MetricsRegistry* metrics = obs::MetricsOf(observer)) {
     if (scan_cache) scan_cache->AttachMetrics(metrics);
-    if (sim_fixtures) sim_fixtures->AttachMetrics(metrics);
+    sim_fixtures->AttachMetrics(metrics);
   }
   StudyCacheBaseline cache_baseline;
   if (!options.cache_dir.empty()) {
-    cache_baseline = LoadStudyCaches(
-        options.cache_dir, scan_cache.get(),
-        sim_fixtures ? sim_fixtures->validation_cache() : nullptr, observer);
+    cache_baseline =
+        LoadStudyCaches(options.cache_dir, scan_cache.get(),
+                        sim_fixtures->validation_cache(), observer);
   }
 
-  // Work list + journal parity with Study::RunPipelined: both platform_start
-  // events are emitted up front, with the (possibly filtered) counts.
+  // Work list: Android then iOS, each in ascending universe index. Both
+  // platform_start events are emitted up front, with the (possibly
+  // filtered) counts.
   std::vector<StreamSlot> slots;
   for (const appmodel::Platform p :
        {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
@@ -135,7 +135,9 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
            obs::CounterOrNull(obs::MetricsOf(observer), "study.apps_analyzed")
                .Increment();
            exporter.OnResult(slot.platform, slot.payload->result);
-           if (options.on_result) options.on_result(slot.payload->result);
+           if (options.on_result) {
+             options.on_result(std::move(slot.payload->result));
+           }
            // The whole point: the hydrated app and its reports die here, not
            // at the end of the run.
            slot.payload.reset();
@@ -149,8 +151,8 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
     popts.faults = options.fault_plan;
     popts.trace = obs::TraceOf(observer);
     popts.metrics = obs::MetricsOf(observer);
-    // Same key scheme as the telemetry (and the materialized pipeline), so
-    // autopsy labels resolve identically on either path.
+    // Same key scheme as the telemetry, so autopsy labels resolve against
+    // the corpus by (platform, universe index).
     popts.timeline = options.timeline;
     popts.timeline_key = [&slots](std::size_t item) {
       const StreamSlot& slot = slots[item];
@@ -192,17 +194,18 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
     const util::PipelineResult run =
         util::RunPipeline(slots.size(), stages, popts);
 
-    // Failed chains still deliver a row (matching the materialized pipeline,
-    // where a failed slot merges with empty reports and the error recorded) —
-    // unless hydration itself failed, in which case there is no app identity
-    // to report.
+    // Failed chains still deliver a row, with the reports the chain did not
+    // reach left empty and the error recorded — unless hydration itself
+    // failed, in which case there is no app identity to report.
     outcome.failures = run.failures.size();
     for (const util::StageFailure& f : run.failures) {
       StreamSlot& slot = slots[f.item];
       if (slot.payload == nullptr) continue;
       slot.payload->result.error = f.stage_name + ": " + f.message;
       exporter.OnResult(slot.platform, slot.payload->result);
-      if (options.on_result) options.on_result(slot.payload->result);
+      if (options.on_result) {
+        options.on_result(std::move(slot.payload->result));
+      }
       slot.payload.reset();
     }
   }
@@ -211,8 +214,8 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
   PublishCacheGauges(observer, scan_cache.get(), sim_fixtures.get());
   if (!options.cache_dir.empty()) {
     SaveStudyCaches(options.cache_dir, scan_cache.get(),
-                    sim_fixtures ? sim_fixtures->validation_cache() : nullptr,
-                    observer, cache_baseline);
+                    sim_fixtures->validation_cache(), observer,
+                    cache_baseline);
   }
   return outcome;
 }

@@ -1,25 +1,22 @@
-// The streaming study driver (DESIGN.md §15).
+// The study driver (DESIGN.md §15).
 //
-// Study (core/study.h) materializes its whole universe in an Ecosystem and
-// keeps every AppResult resident until export. RunStreamingStudy replaces
-// both residencies: apps are pulled one at a time from a CorpusSource
-// (hydrate → static → dynamic → verdict per-item chains over the same
-// barrier-free scheduler), each app's payload is freed the moment its
-// verdict lands, and results leave through a StreamExporter as serialized
-// rows. Peak hydrated-app memory is bounded by the scheduler's in-flight
-// window (workers + queue depth), independent of corpus size.
+// Every study runs through RunStreamingStudy: apps are pulled one at a time
+// from a CorpusSource (hydrate → static → dynamic → verdict per-item chains
+// over the barrier-free scheduler, util/pipeline_scheduler.h), each app's
+// payload is freed the moment its verdict lands, and results leave through
+// a StreamExporter as serialized rows and through StudyOptions::on_result.
+// Peak hydrated-app memory is bounded by the scheduler's in-flight window
+// (workers + queue depth), independent of corpus size. Study
+// (core/study.h) is the materialized view: it runs this driver over an
+// EcosystemCorpusSource and keeps every result.
 //
-// Determinism: identical contract to Study::Run. Stage bodies touch only
-// per-item state, every RNG derives from the study seed + app identity, the
-// journal orders by logical keys, and the exporter replays rows in the batch
-// export order — so a streamed study's exports, journal, and run reports are
-// byte-identical to the materialized path across thread counts and queue
-// depths (tests/core/stream_equivalence_test.cc).
-//
-// StudyOptions fields honored: dynamic, common_ios_settle_seconds (via
-// CorpusSource::NeedsCommonIosSettle), threads, scan_cache, sim_cache,
-// observer, queue_depth, stage_retries, fault_plan, on_result, cache_dir,
-// app_filter. `scheduler` is ignored — streaming is inherently pipelined.
+// Determinism: stage bodies touch only per-item state, every RNG derives
+// from the study seed + app identity, the journal orders by logical keys,
+// and the exporter replays rows in the batch export order — so exports,
+// journal, and run reports are byte-identical across thread counts, queue
+// depths, cache settings, and completion orders, and match the golden
+// digests in tests/golden/ (tests/core/sched_equivalence_test.cc,
+// tests/core/stream_equivalence_test.cc).
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,10 @@
-// The study driver: runs static + dynamic analysis over every dataset and
-// caches per-app results for the evaluation analyses (src/core/analyses.h).
+// The study: runs static + dynamic analysis over every dataset and keeps
+// per-app results for the evaluation analyses (src/core/analyses.h).
 //
 // This is the paper's Figure 1 pipeline, end to end: crawl (generated
 // ecosystem) → static detection → two-phase dynamic detection → circumvention
-// → PII inspection.
+// → PII inspection. One driver executes it, RunStreamingStudy; Study is the
+// materialized view of its results over a generated Ecosystem.
 #pragma once
 
 #include <cstddef>
@@ -13,11 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cache_persist.h"
 #include "dynamicanalysis/pipeline.h"
-#include "dynamicanalysis/sim_fixtures.h"
 #include "obs/obs.h"
-#include "staticanalysis/scan_cache.h"
 #include "staticanalysis/static_report.h"
 #include "store/generator.h"
 
@@ -32,63 +30,50 @@ class Timeline;
 
 namespace pinscope::core {
 
+class StreamExporter;
+
 /// Combined per-app result.
 struct AppResult {
   std::size_t universe_index = 0;
   const appmodel::App* app = nullptr;
   staticanalysis::StaticReport static_report;
   dynamicanalysis::DynamicReport dynamic_report;
-  /// Empty on success. Under the pipeline scheduler a stage failure is
-  /// recorded here ("<stage>: <message>") instead of aborting the study; the
-  /// app's remaining stages are skipped and its reports stay empty
-  /// (tests/core/sched_fault_test.cc). Always empty on the normal path.
+  /// Empty on success. A stage failure is recorded here ("<stage>:
+  /// <message>") instead of aborting the study; the app's remaining stages
+  /// are skipped and its reports stay empty (tests/core/sched_fault_test.cc).
+  /// Always empty on the normal path.
   std::string error;
 
   [[nodiscard]] bool failed() const { return !error.empty(); }
 };
 
-/// How Run() schedules the per-app work.
-enum class SchedulerKind {
-  /// Corpus-wide fan-out per platform: all of a platform's apps run through
-  /// one ParallelMap barrier before the next platform starts. The original
-  /// scheduler, kept as the equivalence baseline.
-  kPhases,
-  /// Barrier-free per-app stage chains (static → dynamic → verdict) over
-  /// bounded MPMC work queues (core/pipeline_study.h): apps overlap across
-  /// stages and platforms, and results stream out as chains complete.
-  kPipeline,
-};
-
-/// Study configuration.
+/// Study configuration, shared by Study::Run and RunStreamingStudy.
 struct StudyOptions {
   dynamicanalysis::DynamicOptions dynamic;
   /// §4.5: the Common-iOS dataset is re-run with a 2-minute settle so
   /// associated-domain verification finishes before capture.
   int common_ios_settle_seconds = 120;
-  /// Worker threads for Run(): per-app work fans out across them and merges
-  /// back in universe-index order, so any value produces byte-identical
-  /// results (0 = hardware concurrency, 1 = serial).
+  /// Worker threads for the per-app stage chains (0 = hardware concurrency,
+  /// 1 = serial on the caller). Results are byte-identical for every value
+  /// (DESIGN.md §8).
   int threads = 1;
   /// Share one corpus-wide static-scan cache across every app of the study,
   /// so files shipped identically by many apps (third-party SDKs, §5
   /// Table 7) are scanned once instead of once per app. Exports are
-  /// byte-identical with the cache on or off (`ctest -L static`); off is a
-  /// debugging/measurement knob, not a correctness one.
+  /// byte-identical with the cache on or off (`ctest -L static`). Off is
+  /// for corpora without shared files: bench/stream_study.cc turns it off
+  /// so that its unique-payload stream keeps a flat memory peak instead of
+  /// a cache that grows with every app.
   bool scan_cache = true;
-  /// Share the connection-simulation fixtures study-wide: one proxy CA +
-  /// forged-leaf cache, immutable per-platform root stores, and a chain-
-  /// validation memo (dynamicanalysis/sim_fixtures.h). Like scan_cache,
-  /// exports are byte-identical either way (`ctest -L dynamic`); off is a
-  /// debugging/measurement knob.
-  bool sim_cache = true;
-  /// Optional observability sink for the whole study: Run() opens study- and
-  /// platform-level spans, AnalyzeApp records per-app spans + phase-duration
+  /// Optional observability sink for the whole study: the run opens a
+  /// study-level span, each stage records per-app spans + phase-duration
   /// histograms, every layer below contributes counters, and the shared
-  /// caches publish their hit-rates as gauges when Run() finishes. Purely
-  /// observational: exports are byte-identical with or without an observer,
-  /// at any thread count (DESIGN.md §11; `ctest -L obs`).
+  /// caches publish their hit-rates as `cache.<family>.*` gauges when the
+  /// run finishes. Purely observational: exports are byte-identical with or
+  /// without an observer, at any thread count (DESIGN.md §11; `ctest -L
+  /// obs`).
   obs::Observer* observer = nullptr;
-  /// Optional live-run telemetry (obs/telemetry.h): Run() reports the
+  /// Optional live-run telemetry (obs/telemetry.h): the run reports the
   /// expected chain total up front, marks each app's current stage as it
   /// enters/leaves, and signals chain completion — the feed behind the
   /// progress meter, heartbeat, and straggler watchdog. Like the observer,
@@ -99,36 +84,29 @@ struct StudyOptions {
   /// Optional bounded interval timeline (obs/timeline.h) feeding the run
   /// autopsy (obs/autopsy.h): per-worker stage intervals plus the idle-time
   /// taxonomy (queue-starved / backpressure / lock-wait / tail-join),
-  /// O(workers · cap) memory at any corpus size. Pipeline scheduler only —
-  /// the phase-barrier path has no per-item chains to attribute (a timeline
-  /// attached there records nothing). Purely observational: exports,
-  /// journal, and run reports are byte-identical with a timeline attached
-  /// or not (`ctest -L autopsy`).
+  /// O(workers · cap) memory at any corpus size. Purely observational:
+  /// exports, journal, and run reports are byte-identical with a timeline
+  /// attached or not (`ctest -L autopsy`).
   obs::Timeline* timeline = nullptr;
-  /// Which scheduler Run() uses. Byte-identical exports, journal, and run
-  /// reports either way (`ctest -L sched`); kPhases is the measurement
-  /// baseline the equivalence suite compares against.
-  SchedulerKind scheduler = SchedulerKind::kPipeline;
-  /// Pipeline scheduler only: ready-queue capacity (0 = 2× the worker
-  /// count). A pure buffering/backpressure knob — results are identical for
-  /// every depth ≥ 1.
+  /// Ready-queue capacity (0 = 2× the worker count). A pure buffering/
+  /// backpressure knob — results are identical for every depth ≥ 1.
   std::size_t queue_depth = 0;
-  /// Pipeline scheduler only: re-run a failed stage this many times before
-  /// recording the app's error verdict. Stage bodies overwrite their slot,
-  /// so a retried stage replays cleanly.
+  /// Re-run a failed stage this many times before recording the app's
+  /// error verdict. Stage bodies overwrite their slot, so a retried stage
+  /// replays cleanly.
   int stage_retries = 0;
-  /// Test-only fault injection for the pipeline scheduler (delays and
-  /// transient failures at stage entry, keyed by work-item index; see
-  /// util/pipeline_scheduler.h).
+  /// Test-only fault injection (delays and transient failures at stage
+  /// entry, keyed by work-item index; see util/pipeline_scheduler.h). The
+  /// stages are 0 hydrate, 1 static, 2 dynamic, 3 verdict.
   const util::SchedulerFaultPlan* fault_plan = nullptr;
-  /// Streaming hook: called once per app as its result is finalized. Under
-  /// the pipeline scheduler this fires in completion order from worker
-  /// threads (synchronize externally; the callback must not touch exports);
-  /// under the phase scheduler it fires in universe-index order after each
-  /// platform merges.
-  std::function<void(const AppResult&)> on_result;
+  /// Streaming hook: called once per app, last in its verdict stage (after
+  /// the exporter has rendered its rows), in completion order from worker
+  /// threads — synchronize externally. The driver frees the app's payload
+  /// right after, so the callee may move from the result; `result.app`
+  /// points into that payload and dies with it.
+  std::function<void(AppResult&&)> on_result;
   /// When non-empty, the scan cache and validation memo warm-start from this
-  /// directory at construction and persist back when Run() completes
+  /// directory when the run starts and persist back when it completes
   /// (core/cache_persist.h). A missing or corrupt file means a cold start;
   /// results are byte-identical warm or cold — only speed changes.
   std::string cache_dir;
@@ -139,45 +117,22 @@ struct StudyOptions {
   std::function<bool(appmodel::Platform, std::size_t)> app_filter;
 };
 
-/// Keys per-app results by universe index. Completion order is irrelevant:
-/// any permutation of `results` yields the same map (the merge invariant the
-/// parallel Run() relies on). Indices must be unique.
-[[nodiscard]] std::map<std::size_t, AppResult> MergeByIndex(
-    std::vector<AppResult> results);
-
-/// Runs and caches the full measurement over one generated ecosystem.
+/// The materialized result view over one generated ecosystem. Run() streams
+/// every dataset app through RunStreamingStudy (core/stream_study.h) and
+/// keeps each result, keyed by universe index, for the evaluation analyses
+/// (core/analyses.h), the CLI tables, and the exports (core/export.h).
 class Study {
  public:
   explicit Study(const store::Ecosystem& eco, StudyOptions options = {});
+  Study(Study&&) noexcept;
+  ~Study();
 
   /// Executes static + dynamic analysis for every app appearing in any
-  /// dataset (each app analyzed once; dataset views share results). With
-  /// options.threads != 1 the per-app work units run on a thread pool; the
-  /// output is byte-identical to the serial run because every app derives
-  /// its RNG streams from the study seed + app identity (DESIGN.md §8).
-  /// options.scheduler picks between the phase-barrier fan-out and the
-  /// barrier-free per-app pipeline (DESIGN.md §13) — also byte-identical.
+  /// dataset (each app analyzed once; dataset views share results),
+  /// replacing any previous run's results. The output is byte-identical at
+  /// every thread count because every app derives its RNG streams from the
+  /// study seed + app identity (DESIGN.md §8).
   void Run();
-
-  /// Analyzes one universe app, independent of any other app's state. This
-  /// is the parallel work unit; it never touches the result caches.
-  [[nodiscard]] AppResult AnalyzeApp(appmodel::Platform p,
-                                     std::size_t index) const;
-
-  /// The static stage of one app's chain: fills result.static_report.
-  /// result.app must be set; touches nothing outside the result (plus the
-  /// internally-synchronized shared caches).
-  void RunStaticStage(AppResult& result) const;
-
-  /// The dynamic stage of one app's chain: fills result.dynamic_report
-  /// (including the §4.5 Common-iOS settle override). Same isolation
-  /// contract as RunStaticStage.
-  void RunDynamicStage(AppResult& result) const;
-
-  /// Universe indices of every dataset member of `p` not yet analyzed, each
-  /// once, in ascending order (the deterministic work list both schedulers
-  /// consume).
-  [[nodiscard]] std::vector<std::size_t> PendingIndices(appmodel::Platform p) const;
 
   [[nodiscard]] const store::Ecosystem& ecosystem() const { return *eco_; }
 
@@ -189,50 +144,17 @@ class Study {
   [[nodiscard]] std::vector<const AppResult*> DatasetResults(
       store::DatasetId id, appmodel::Platform p) const;
 
-  /// All analyzed results for a platform.
+  /// All analyzed results for a platform, in ascending universe index.
   [[nodiscard]] std::vector<const AppResult*> AllResults(appmodel::Platform p) const;
 
-  /// The study's scan cache (nullptr when options.scan_cache is off). Read
-  /// its Stats() after Run() for hit/dedup observability.
-  [[nodiscard]] const staticanalysis::ScanCache* scan_cache() const {
-    return scan_cache_.get();
-  }
-
-  /// The study's shared simulation fixtures (nullptr when options.sim_cache
-  /// is off). Read forged_cache_stats()/validation_cache_stats() after Run()
-  /// for hit-rate observability.
-  [[nodiscard]] const dynamicanalysis::SimFixtures* sim_fixtures() const {
-    return sim_fixtures_.get();
-  }
+  /// The row-retaining exporter Run() fed; its Finish* replays are the
+  /// study's exports.
+  [[nodiscard]] const StreamExporter& exporter() const { return *exporter_; }
 
  private:
-  /// The original per-platform fan-out: one ParallelMap barrier per
-  /// platform.
-  void RunPhased(obs::EventScope& study_log);
-
-  /// Barrier-free per-app stage chains over util::RunPipeline (defined in
-  /// core/pipeline_study.cc).
-  void RunPipelined(obs::EventScope& study_log);
-
-  /// The pipeline scheduler's "verdict" stage: per-app counters plus the
-  /// on_result streaming hook. (The phase path counts inside AnalyzeApp and
-  /// streams after its merge, keeping metric totals identical.)
-  void FinishApp(const AppResult& result) const;
-
-  /// Publishes the shared caches' counters as `cache.<family>.<field>`
-  /// gauges on the observer's registry (no-op without one). Gauges, not
-  /// counters, so calling Run() twice republishes instead of double-counts.
-  void PublishCacheStats() const;
-
   const store::Ecosystem* eco_;
   StudyOptions options_;
-  /// Shared by every AnalyzeApp worker; internally synchronized.
-  std::unique_ptr<staticanalysis::ScanCache> scan_cache_;
-  /// Shared by every AnalyzeApp worker; immutable or internally synchronized.
-  std::unique_ptr<dynamicanalysis::SimFixtures> sim_fixtures_;
-  /// Entry counts from the constructor's warm load; Run()'s save skips any
-  /// cache that has not grown past this.
-  StudyCacheBaseline cache_baseline_;
+  std::unique_ptr<StreamExporter> exporter_;
   std::map<std::size_t, AppResult> android_results_;
   std::map<std::size_t, AppResult> ios_results_;
 };

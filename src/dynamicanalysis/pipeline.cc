@@ -9,7 +9,6 @@
 #include "dynamicanalysis/pii_detector.h"
 #include "dynamicanalysis/sim_fixtures.h"
 #include "net/mitm_proxy.h"
-#include "util/parallel.h"
 
 namespace pinscope::dynamicanalysis {
 
@@ -64,10 +63,8 @@ DynamicReport RunDynamicAnalysis(const appmodel::App& app,
   obs::MetricsRegistry* metrics = obs::MetricsOf(options.observer);
   const std::string platform(PlatformName(app.meta.platform));
 
-  // One journal scope per phase: the scopes for the two capture phases are
-  // distinct objects, so each is touched by exactly one thread even when the
-  // phases run concurrently (their events sort by logical keys, not by which
-  // thread got there first).
+  // One journal scope per phase; events sort by logical keys, so the
+  // journal does not depend on which thread ran the flight.
   obs::EventScope baseline_log = obs::ScopeFor(options.observer, platform,
                                                app.meta.app_id,
                                                "dynamic.baseline");
@@ -85,48 +82,37 @@ DynamicReport RunDynamicAnalysis(const appmodel::App& app,
   baseline_opts.log = &baseline_log;
   mitm_opts.log = &mitm_log;
 
-  // Both phase streams fork before either capture runs, so the two runs are
-  // order-independent — and therefore safe to execute concurrently.
+  // Both phase streams fork before either capture runs, so neither phase
+  // observes the other's stream position.
   util::Rng baseline_rng = rng.Fork("baseline");
   util::Rng mitm_rng = rng.Fork("mitm");
 
   net::Capture baseline;
+  {
+    const obs::Span span = obs::SpanFor(options.observer, "dynamic.baseline",
+                                        "phase", {{"app", app.meta.app_id}});
+    obs::ScopedTimer timer(
+        obs::PhaseHistogramOrNull(metrics, "phase.dynamic.baseline"));
+    baseline = device.RunApp(app, world, baseline_opts, baseline_rng);
+  }
   net::Capture mitm;
-  auto run_phase = [&](std::size_t phase) {
-    if (phase == 0) {
-      const obs::Span span = obs::SpanFor(options.observer, "dynamic.baseline",
-                                          "phase", {{"app", app.meta.app_id}});
-      obs::ScopedTimer timer(
-          obs::PhaseHistogramOrNull(metrics, "phase.dynamic.baseline"));
-      baseline = device.RunApp(app, world, baseline_opts, baseline_rng);
-    } else {
-      // Only this phase touches the proxy; its forged-leaf cache is
-      // internally synchronized (and possibly shared study-wide).
-      const obs::Span span = obs::SpanFor(options.observer, "dynamic.mitm",
-                                          "phase", {{"app", app.meta.app_id}});
-      obs::ScopedTimer timer(obs::PhaseHistogramOrNull(metrics, "phase.dynamic.mitm"));
-      mitm = device.RunApp(app, world, mitm_opts, mitm_rng);
-    }
-  };
-  if (options.parallel_phases) {
-    util::ParallelOptions par;
-    par.threads = 2;
-    par.trace = obs::TraceOf(options.observer);
-    par.trace_label = "dynamic.phases";
-    util::ParallelFor(2, run_phase, par);
-  } else {
-    run_phase(0);
-    run_phase(1);
+  {
+    // Only this phase touches the proxy; its forged-leaf cache is
+    // internally synchronized (and possibly shared study-wide).
+    const obs::Span span = obs::SpanFor(options.observer, "dynamic.mitm",
+                                        "phase", {{"app", app.meta.app_id}});
+    obs::ScopedTimer timer(obs::PhaseHistogramOrNull(metrics, "phase.dynamic.mitm"));
+    mitm = device.RunApp(app, world, mitm_opts, mitm_rng);
   }
 
   const ExclusionRules exclusions =
       app.meta.platform == appmodel::Platform::kIos
           ? ExclusionRules::ForIos(app.behavior.associated_domains)
           : ExclusionRules{};
-  // Detection scratch: both capture phases have joined by here, so the
-  // (unsynchronized) arena is touched by exactly this thread. The
-  // thread-local fallback rewinds at each flight, keeping steady-state
-  // allocator traffic O(1) per flight even when no arena was passed in.
+  // Detection scratch: the (unsynchronized) arena is touched by exactly this
+  // thread. The thread-local fallback rewinds at each flight, keeping
+  // steady-state allocator traffic O(1) per flight even when no arena was
+  // passed in.
   util::Arena* scratch = options.arena;
   if (scratch == nullptr) {
     thread_local util::Arena flight_arena;

@@ -33,10 +33,6 @@ struct DynamicOptions {
   /// stream as seed ^ StableHash64(app_id), with labeled forks per phase
   /// (DESIGN.md §8), so runs are independent across apps and phases.
   std::uint64_t seed = 0x9e3779b9;
-  /// Run the baseline and MITM captures on two worker threads. Results are
-  /// identical either way: both phases draw from RNGs forked before the
-  /// captures start, so neither observes the other's stream position.
-  bool parallel_phases = false;
   /// Study-scoped shared fixtures (proxy + root stores + caches; see
   /// dynamicanalysis/sim_fixtures.h). Null ⇒ the pipeline builds private
   /// per-app equivalents. Reports are byte-identical either way, provided
@@ -49,11 +45,10 @@ struct DynamicOptions {
   obs::Observer* observer = nullptr;
   /// Scratch arena for the flight's detection phase. Null ⇒ the pipeline
   /// uses a thread-local arena it resets at flight start, so steady-state
-  /// allocator traffic per flight is O(1) either way. The arena is only
-  /// touched AFTER the capture phases join (captures may run on two worker
-  /// threads; see util/arena.h): never share one arena across flights that
-  /// run concurrently, and reset an externally-owned arena between flights
-  /// yourself. Reports never hold arena pointers.
+  /// allocator traffic per flight is O(1) either way. Never share one arena
+  /// across flights that run concurrently (see util/arena.h), and reset an
+  /// externally-owned arena between flights yourself. Reports never hold
+  /// arena pointers.
   util::Arena* arena = nullptr;
 };
 

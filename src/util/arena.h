@@ -8,12 +8,9 @@
 // blocks for the next flight, so steady-state allocator traffic is O(1) per
 // flight instead of O(nodes).
 //
-// Threading: an Arena is deliberately NOT synchronized. The dynamic pipeline
-// runs its two capture phases on worker threads (DynamicOptions::
-// parallel_phases); the arena must only be touched after those phases join —
-// detection and report assembly are single-threaded, which is exactly where
-// the scratch lives. Sharing one Arena across concurrently-running flights
-// is a data race; give each flight its own.
+// Threading: an Arena is deliberately NOT synchronized. One flight runs on
+// one thread, so a per-flight (or thread-local) arena is never shared;
+// sharing one Arena across concurrently-running flights is a data race.
 #pragma once
 
 #include <cstddef>

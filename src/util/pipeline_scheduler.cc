@@ -5,9 +5,20 @@
 #include <thread>
 
 #include "util/error.h"
-#include "util/parallel.h"
 
 namespace pinscope::util {
+
+int ResolveThreads(int requested, std::size_t n) {
+  if (n == 0) return 0;
+  std::size_t t;
+  if (requested <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    t = hw == 0 ? 1 : hw;
+  } else {
+    t = static_cast<std::size_t>(requested);
+  }
+  return static_cast<int>(std::min(t, n));
+}
 
 void SchedulerFaultPlan::Set(std::size_t stage, std::size_t item, Fault fault) {
   Cell& cell = faults_[{stage, item}];

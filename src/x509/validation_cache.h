@@ -97,7 +97,8 @@ class ValidationCache {
 
   /// Resident entry count, measured by walking the shards (vs the
   /// Stats().entries counter, which tracks winning inserts — equal once the
-  /// parallel loop has joined, which the `ctest -L obs` suite asserts).
+  /// concurrent callers have joined, which tests/x509/validation_cache_test.cc
+  /// asserts).
   [[nodiscard]] std::size_t EntryCount() const;
 
   /// Persists every memoized tuple to `path` through util::WriteCacheFile

@@ -25,10 +25,8 @@ TEST(ParseArgsTest, DefaultsMatchDocumentedHelp) {
   EXPECT_DOUBLE_EQ(opts->scale, 0.1);
   EXPECT_EQ(opts->seed, 42u);
   EXPECT_EQ(opts->threads, 0);
-  EXPECT_EQ(opts->scheduler, "pipeline");
   EXPECT_EQ(opts->queue_depth, 0);
   EXPECT_TRUE(opts->scan_cache);
-  EXPECT_TRUE(opts->sim_cache);
   EXPECT_TRUE(opts->summary);
   EXPECT_TRUE(opts->json_path.empty());
   EXPECT_TRUE(opts->csv_path.empty());
@@ -74,31 +72,25 @@ TEST(ParseArgsTest, OutputFlagsAcceptBothSpellings) {
 }
 
 TEST(ParseArgsTest, OnOffFlagsAcceptBothSpellings) {
-  const auto spaced = Parse({"study", "--scan-cache", "off", "--sim-cache",
-                             "off", "--summary", "off"});
+  const auto spaced =
+      Parse({"study", "--scan-cache", "off", "--summary", "off"});
   ASSERT_TRUE(spaced.has_value());
   EXPECT_FALSE(spaced->scan_cache);
-  EXPECT_FALSE(spaced->sim_cache);
   EXPECT_FALSE(spaced->summary);
 
-  const auto eq = Parse({"study", "--scan-cache=off", "--sim-cache=on",
-                         "--summary=off"});
+  const auto eq = Parse({"study", "--scan-cache=on", "--summary=off"});
   ASSERT_TRUE(eq.has_value());
-  EXPECT_FALSE(eq->scan_cache);
-  EXPECT_TRUE(eq->sim_cache);
+  EXPECT_TRUE(eq->scan_cache);
   EXPECT_FALSE(eq->summary);
 }
 
 TEST(ParseArgsTest, SchedulerFlagsAcceptBothSpellings) {
-  const auto spaced =
-      Parse({"study", "--scheduler", "phases", "--queue-depth", "8"});
+  const auto spaced = Parse({"study", "--queue-depth", "8"});
   ASSERT_TRUE(spaced.has_value());
-  EXPECT_EQ(spaced->scheduler, "phases");
   EXPECT_EQ(spaced->queue_depth, 8);
 
-  const auto eq = Parse({"study", "--scheduler=pipeline", "--queue-depth=0"});
+  const auto eq = Parse({"study", "--queue-depth=0"});
   ASSERT_TRUE(eq.has_value());
-  EXPECT_EQ(eq->scheduler, "pipeline");
   EXPECT_EQ(eq->queue_depth, 0);
 }
 
@@ -120,8 +112,6 @@ TEST(ParseArgsTest, RejectsBadValues) {
   EXPECT_FALSE(Parse({"study", "--scan-cache", "maybe"}).has_value());
   EXPECT_FALSE(Parse({"study", "--summary=yes"}).has_value());
   EXPECT_FALSE(Parse({"study", "--threads", "-1"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--scheduler", "greedy"}).has_value());
-  EXPECT_FALSE(Parse({"study", "--scheduler="}).has_value());
   EXPECT_FALSE(Parse({"study", "--queue-depth", "-2"}).has_value());
   EXPECT_FALSE(Parse({"study", "--queue-depth", "lots"}).has_value());
   EXPECT_FALSE(Parse({"study", "--scale", "0"}).has_value());

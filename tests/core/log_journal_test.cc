@@ -25,7 +25,6 @@ Study RunStudy(const store::Ecosystem& eco, int threads,
                obs::Observer* observer) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.observer = observer;
   Study study(eco, opts);
   study.Run();

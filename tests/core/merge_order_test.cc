@@ -1,14 +1,14 @@
-// Property test for the result-merge step: whatever order per-app work
-// units complete in, merging yields the same aggregated study state. This is
-// the invariant that lets Study::Run() ignore scheduling entirely.
+// Property tests for the result-merge step: whatever order per-app chains
+// complete in, the exporter's ordered replay and the study's result maps
+// come out the same. This is the invariant that lets Study::Run() ignore
+// scheduling entirely.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/export.h"
+#include "core/stream_export.h"
 #include "core/study.h"
 #include "testing/fixtures.h"
 #include "util/rng.h"
@@ -18,86 +18,51 @@ namespace {
 
 using appmodel::Platform;
 
-// A stable digest of everything a merged result map contains that downstream
-// analyses can observe.
-std::string Fingerprint(const std::map<std::size_t, AppResult>& merged) {
-  std::string out;
-  for (const auto& [index, r] : merged) {
-    out += std::to_string(index) + "|" + r.app->meta.app_id + "|" +
-           (r.static_report.PotentialPinning() ? "S" : "-") +
-           (r.static_report.ConfigPinning() ? "C" : "-") + "|";
-    for (const auto& dest : r.dynamic_report.destinations) {
-      out += dest.hostname + (dest.pinned ? "+p" : "-p") +
-             (dest.circumvented ? "+c" : "-c") +
-             (dest.weak_cipher ? "+w" : "-w") + ";";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-std::vector<AppResult> AnalyzeAll(const Study& study,
-                                  const store::Ecosystem& eco, Platform p) {
-  std::vector<std::size_t> indices;
-  for (const store::DatasetId id : store::AllDatasets()) {
-    for (std::size_t idx : eco.dataset(id, p).app_indices) {
-      indices.push_back(idx);
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-
-  std::vector<AppResult> results;
-  results.reserve(indices.size());
-  for (std::size_t idx : indices) results.push_back(study.AnalyzeApp(p, idx));
-  return results;
-}
-
 TEST(MergeOrderTest, AnyCompletionPermutationYieldsIdenticalResults) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(11);
-  const Study study(eco);
+  Study study(eco);
+  study.Run();
 
+  struct Delivery {
+    Platform platform;
+    const AppResult* result;
+  };
+  std::vector<Delivery> deliveries;
   for (const Platform p : {Platform::kAndroid, Platform::kIos}) {
-    SCOPED_TRACE(PlatformName(p));
-    std::vector<AppResult> results = AnalyzeAll(study, eco, p);
-    ASSERT_GT(results.size(), 1u);
+    for (const AppResult* r : study.AllResults(p)) deliveries.push_back({p, r});
+  }
+  ASSERT_GT(deliveries.size(), 1u);
 
-    const std::string reference = Fingerprint(MergeByIndex(results));
-
-    util::Rng rng(0xfeedface);
-    for (int round = 0; round < 10; ++round) {
-      std::vector<AppResult> permuted = results;  // AppResult is copyable
-      rng.Shuffle(permuted);
-      EXPECT_EQ(Fingerprint(MergeByIndex(std::move(permuted))), reference)
-          << "permutation round " << round;
-    }
+  util::Rng rng(0xfeedface);
+  for (int round = 0; round < 10; ++round) {
+    rng.Shuffle(deliveries);
+    StreamExporter exporter;
+    for (const Delivery& d : deliveries) exporter.OnResult(d.platform, *d.result);
+    EXPECT_EQ(exporter.FinishJson(), ExportStudyJson(study))
+        << "permutation round " << round;
+    EXPECT_EQ(exporter.FinishCsv(), ExportStudyCsv(study))
+        << "permutation round " << round;
   }
 }
 
 TEST(MergeOrderTest, MergedKeysAreSortedUniverseIndices) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(11);
-  const Study study(eco);
-  std::vector<AppResult> results = AnalyzeAll(study, eco, Platform::kAndroid);
-  const auto merged = MergeByIndex(std::move(results));
-  std::size_t prev = 0;
-  bool first = true;
-  for (const auto& [index, r] : merged) {
-    EXPECT_EQ(index, r.universe_index);
-    if (!first) {
-      EXPECT_GT(index, prev);
+  StudyOptions opts;
+  opts.threads = 4;
+  Study study(eco, opts);
+  study.Run();
+  for (const Platform p : {Platform::kAndroid, Platform::kIos}) {
+    const std::vector<const AppResult*> results = study.AllResults(p);
+    ASSERT_FALSE(results.empty());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (i > 0) {
+        EXPECT_GT(results[i]->universe_index, results[i - 1]->universe_index);
+      }
+      // Each kept result points at the ecosystem's app, not at the
+      // hydrated copy the driver freed after the verdict.
+      EXPECT_EQ(results[i]->app, &eco.apps(p)[results[i]->universe_index]);
     }
-    prev = index;
-    first = false;
   }
-}
-
-TEST(MergeOrderTest, DuplicateIndexIsRejected) {
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(11);
-  const Study study(eco);
-  std::vector<AppResult> results = AnalyzeAll(study, eco, Platform::kAndroid);
-  ASSERT_FALSE(results.empty());
-  results.push_back(results.front());
-  EXPECT_THROW((void)MergeByIndex(std::move(results)), util::Error);
 }
 
 }  // namespace

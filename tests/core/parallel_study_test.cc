@@ -1,8 +1,7 @@
 // Determinism-equivalence suite: the parallel study must be bit-identical
 // to the serial one. For several generation seeds, the same ecosystem is
-// analyzed at threads ∈ {1, 4, hardware_concurrency} (with the two-phase
-// pipeline fan-out on for the threaded runs) and every observable output is
-// compared: the JSON/CSV dataset exports byte for byte, plus the Table 3
+// analyzed at threads ∈ {1, 4, hardware_concurrency} and every observable
+// output is compared: the JSON/CSV dataset exports byte for byte, plus the Table 3
 // prevalence rows and Figure 2-4 consistency structs field by field.
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@ using store::DatasetId;
 Study RunStudy(const store::Ecosystem& eco, int threads) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   Study study(eco, opts);
   study.Run();
   return study;
@@ -111,22 +109,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismEquivalenceTest,
                          [](const ::testing::TestParamInfo<std::uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
-
-TEST(ParallelStudyTest, ParallelPhasesAloneAreByteIdenticalToSerial) {
-  // Isolates the pipeline's two-phase fan-out from the per-app fan-out.
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(3);
-  StudyOptions serial_opts;
-  Study serial(eco, serial_opts);
-  serial.Run();
-
-  StudyOptions phase_opts;
-  phase_opts.dynamic.parallel_phases = true;
-  Study phased(eco, phase_opts);
-  phased.Run();
-
-  EXPECT_EQ(ExportStudyJson(serial), ExportStudyJson(phased));
-  EXPECT_EQ(ExportStudyCsv(serial), ExportStudyCsv(phased));
-}
 
 }  // namespace
 }  // namespace pinscope::core

@@ -10,16 +10,18 @@
 
 #include "core/export.h"
 #include "core/study.h"
+#include "obs/obs.h"
 #include "testing/fixtures.h"
 
 namespace pinscope::core {
 namespace {
 
-Study RunStudy(const store::Ecosystem& eco, int threads, bool scan_cache) {
+Study RunStudy(const store::Ecosystem& eco, int threads, bool scan_cache,
+               obs::Observer* observer = nullptr) {
   StudyOptions opts;
   opts.threads = threads;
-  opts.dynamic.parallel_phases = threads != 1;
   opts.scan_cache = scan_cache;
+  opts.observer = observer;
   Study study(eco, opts);
   study.Run();
   return study;
@@ -30,8 +32,12 @@ class ScanCacheEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> 
 TEST_P(ScanCacheEquivalenceTest, CacheNeverChangesAnyExportByte) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(GetParam());
 
-  const Study reference = RunStudy(eco, 1, /*scan_cache=*/false);
-  EXPECT_EQ(reference.scan_cache(), nullptr);
+  obs::Observer uncached_observer;
+  const Study reference =
+      RunStudy(eco, 1, /*scan_cache=*/false, &uncached_observer);
+  // No cache, no cache.scan.* gauges.
+  EXPECT_FALSE(uncached_observer.metrics().Snapshot().gauges.count(
+      "cache.scan.lookups"));
   const std::string json = ExportStudyJson(reference);
   const std::string csv = ExportStudyCsv(reference);
   ASSERT_FALSE(json.empty());
@@ -40,7 +46,8 @@ TEST_P(ScanCacheEquivalenceTest, CacheNeverChangesAnyExportByte) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Study cached = RunStudy(eco, threads, /*scan_cache=*/true);
+    obs::Observer observer;
+    const Study cached = RunStudy(eco, threads, /*scan_cache=*/true, &observer);
     EXPECT_EQ(json, ExportStudyJson(cached));
     EXPECT_EQ(csv, ExportStudyCsv(cached));
 
@@ -48,12 +55,14 @@ TEST_P(ScanCacheEquivalenceTest, CacheNeverChangesAnyExportByte) {
     // balance; the per-configuration hit counts may differ (scheduling
     // decides who takes each miss), which is exactly why they are not part
     // of any export.
-    ASSERT_NE(cached.scan_cache(), nullptr);
-    const staticanalysis::ScanCacheStats stats = cached.scan_cache()->Stats();
-    EXPECT_GT(stats.lookups, 0u);
-    EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
-    EXPECT_LE(stats.entries, stats.misses);
-    EXPECT_GT(stats.hits, 0u);  // The study corpus apps share SDK artifacts
+    const obs::MetricsSnapshot snap = observer.metrics().Snapshot();
+    const auto gauge = [&snap](const char* name) { return snap.gauges.at(name); };
+    EXPECT_GT(gauge("cache.scan.lookups"), 0u);
+    EXPECT_EQ(gauge("cache.scan.hits") + gauge("cache.scan.misses"),
+              gauge("cache.scan.lookups"));
+    EXPECT_LE(gauge("cache.scan.entries"), gauge("cache.scan.misses"));
+    // The study corpus apps share SDK artifacts.
+    EXPECT_GT(gauge("cache.scan.hits"), 0u);
   }
 }
 

@@ -1,9 +1,11 @@
-// Fault-injection suite for the pipelined scheduler (DESIGN.md §13): a slow
+// Fault-injection suite for the study's stage chains (DESIGN.md §13): a slow
 // or failing app must never stall its siblings, stage failures surface as
 // per-app error verdicts instead of aborted studies, and transient failures
 // recovered by retries leave no trace — exports and journal stay
 // byte-identical to a fault-free run (faults inject at stage *entry*, before
-// the stage body writes anything).
+// the stage body writes anything). Work items are the corpus order
+// (EcosystemCorpusSource::Indices, Android then iOS) and the stages are
+// 0 hydrate, 1 static, 2 dynamic, 3 verdict.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,8 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/corpus_source.h"
 #include "core/export.h"
-#include "core/pipeline_study.h"
 #include "core/study.h"
 #include "obs/obs.h"
 #include "report/run_report.h"
@@ -28,7 +30,25 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// One pipelined run plus everything it externalized.
+/// One app of the work list, by position.
+struct WorkItem {
+  appmodel::Platform platform;
+  std::size_t universe_index;
+};
+
+/// The study's work list: every dataset app, Android first, each platform in
+/// ascending universe index — item i of the fault plan is work[i].
+std::vector<WorkItem> WorkList(const store::Ecosystem& eco) {
+  const EcosystemCorpusSource source(eco);
+  std::vector<WorkItem> work;
+  for (const appmodel::Platform p :
+       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
+    for (const std::size_t idx : source.Indices(p)) work.push_back({p, idx});
+  }
+  return work;
+}
+
+/// One study run plus everything it externalized.
 struct FaultRun {
   Study study;
   std::string json;
@@ -38,10 +58,10 @@ struct FaultRun {
   std::vector<std::string> failed_apps;
 };
 
-FaultRun RunPipelined(const store::Ecosystem& eco,
-                      const util::SchedulerFaultPlan* plan, int retries,
-                      std::function<void(const AppResult&)> on_result = {},
-                      obs::Observer* external_observer = nullptr) {
+FaultRun RunWithFaults(const store::Ecosystem& eco,
+                       const util::SchedulerFaultPlan* plan, int retries,
+                       std::function<void(AppResult&&)> on_result = {},
+                       obs::Observer* external_observer = nullptr) {
   obs::Observer local_observer;
   obs::Observer& observer =
       external_observer != nullptr ? *external_observer : local_observer;
@@ -49,9 +69,7 @@ FaultRun RunPipelined(const store::Ecosystem& eco,
   observer.set_log(&log);
 
   StudyOptions opts;
-  opts.scheduler = SchedulerKind::kPipeline;
   opts.threads = 4;
-  opts.dynamic.parallel_phases = true;
   opts.fault_plan = plan;
   opts.stage_retries = retries;
   opts.observer = &observer;
@@ -91,8 +109,7 @@ std::map<std::string, std::string> VerdictsByApp(const Study& study) {
 
 TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
-  const std::vector<PipelineWorkItem> work =
-      BuildPipelineWorkList(Study(eco, {}));
+  const std::vector<WorkItem> work = WorkList(eco);
   ASSERT_GT(work.size(), 8u);
 
   // Work item 0's static stage sleeps. Under a phase barrier no app could
@@ -100,12 +117,12 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
   // whole chains stream out during the sleep and the slow app lands in the
   // back half of the completion order.
   util::SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/0, /*item=*/0, {.delay = 750ms, .fail_times = 0});
+  plan.Set(/*stage=*/1, /*item=*/0, {.delay = 750ms, .fail_times = 0});
 
   std::mutex mu;
   std::vector<std::pair<appmodel::Platform, std::size_t>> completion_order;
   const FaultRun slow =
-      RunPipelined(eco, &plan, /*retries=*/0, [&](const AppResult& r) {
+      RunWithFaults(eco, &plan, /*retries=*/0, [&](AppResult&& r) {
         std::lock_guard<std::mutex> lock(mu);
         completion_order.emplace_back(r.app->meta.platform, r.universe_index);
       });
@@ -123,7 +140,7 @@ TEST(SchedFaultTest, SlowAppNeverStallsSiblings) {
       << "siblings waited for the slow app";
 
   // The delay was pure schedule perturbation: results match a clean run.
-  const FaultRun clean = RunPipelined(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
   EXPECT_EQ(clean.json, slow.json);
   EXPECT_EQ(clean.csv, slow.csv);
   EXPECT_EQ(clean.journal, slow.journal);
@@ -133,13 +150,12 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
   util::SchedulerFaultPlan plan;
   // More failures than the retry budget: item 2's static stage is terminal.
-  plan.Set(/*stage=*/0, /*item=*/2, {.delay = 0ms, .fail_times = 1000000});
+  plan.Set(/*stage=*/1, /*item=*/2, {.delay = 0ms, .fail_times = 1000000});
 
-  const FaultRun out = RunPipelined(eco, &plan, /*retries=*/1);
+  const FaultRun out = RunWithFaults(eco, &plan, /*retries=*/1);
   ASSERT_EQ(out.failed_apps.size(), 1u);
 
-  const std::vector<PipelineWorkItem> work =
-      BuildPipelineWorkList(Study(eco, {}));
+  const std::vector<WorkItem> work = WorkList(eco);
   const AppResult& failed =
       out.study.result(work[2].platform, work[2].universe_index);
   ASSERT_TRUE(failed.failed());
@@ -148,7 +164,7 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
   EXPECT_TRUE(failed.static_report.app_id.empty());
 
   // Every sibling's verdicts are untouched by the failure.
-  const FaultRun clean = RunPipelined(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
   EXPECT_TRUE(clean.failed_apps.empty());
   const std::map<std::string, std::string> clean_verdicts =
       VerdictsByApp(clean.study);
@@ -166,12 +182,12 @@ TEST(SchedFaultTest, FailingAppSurfacesAsErrorVerdictNotAbortedStudy) {
 
 TEST(SchedFaultTest, TransientFailureRecoversWithRetriesByteIdentically) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(7);
-  const FaultRun clean = RunPipelined(eco, nullptr, 0);
+  const FaultRun clean = RunWithFaults(eco, nullptr, 0);
 
   util::SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/0, /*item=*/1, {.delay = 5ms, .fail_times = 2});
-  plan.Set(/*stage=*/1, /*item=*/3, {.delay = 0ms, .fail_times = 1});
-  const FaultRun retried = RunPipelined(eco, &plan, /*retries=*/2);
+  plan.Set(/*stage=*/1, /*item=*/1, {.delay = 5ms, .fail_times = 2});
+  plan.Set(/*stage=*/2, /*item=*/3, {.delay = 0ms, .fail_times = 1});
+  const FaultRun retried = RunWithFaults(eco, &plan, /*retries=*/2);
 
   // Both faults were transient and the budget covered them: no error
   // verdicts, and — because injection precedes the stage body — the retried
@@ -185,14 +201,13 @@ TEST(SchedFaultTest, TransientFailureRecoversWithRetriesByteIdentically) {
 TEST(SchedFaultTest, DynamicStageFaultIsAttributedToTheDynamicStage) {
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(23);
   util::SchedulerFaultPlan plan;
-  plan.Set(/*stage=*/1, /*item=*/0, {.delay = 0ms, .fail_times = 1000000});
+  plan.Set(/*stage=*/2, /*item=*/0, {.delay = 0ms, .fail_times = 1000000});
 
   obs::Observer observer;
-  const FaultRun out = RunPipelined(eco, &plan, /*retries=*/0, {}, &observer);
+  const FaultRun out = RunWithFaults(eco, &plan, /*retries=*/0, {}, &observer);
   ASSERT_EQ(out.failed_apps.size(), 1u);
 
-  const std::vector<PipelineWorkItem> work =
-      BuildPipelineWorkList(Study(eco, {}));
+  const std::vector<WorkItem> work = WorkList(eco);
   const AppResult& failed =
       out.study.result(work[0].platform, work[0].universe_index);
   ASSERT_TRUE(failed.failed());

@@ -1,8 +1,9 @@
 // Streaming-study equivalence suite (DESIGN.md §15). Three contracts:
 //
 //  1. Streamed == materialized: a streaming run over an EcosystemCorpusSource
-//     exports byte-identical JSON/CSV (and an identical verdict set) to the
-//     batch Study over the same ecosystem, for every cell of
+//     reproduces the golden digests in tests/golden/ — recorded from the
+//     materialized study — of the JSON/CSV exports, the kDebug journal, and
+//     the run report, for every cell of
 //     seeds {7, 23} × threads {1, 4, hardware} × queue depths {1, 2, 64}.
 //  2. Warm == cold: re-running with a persisted --cache-dir changes no
 //     exported byte, and a damaged cache file silently degrades to a cold
@@ -25,12 +26,12 @@
 
 #include "core/cache_persist.h"
 #include "core/corpus_source.h"
-#include "core/export.h"
 #include "core/stream_export.h"
 #include "core/stream_study.h"
 #include "core/study.h"
 #include "store/generator.h"
 #include "testing/fixtures.h"
+#include "testing/golden.h"
 
 namespace pinscope::core {
 namespace {
@@ -78,15 +79,6 @@ RunBytes RunStreamed(const store::Ecosystem& eco, const StreamConfig& config,
           RenderVerdicts(exporter.FinishVerdicts())};
 }
 
-RunBytes RunMaterialized(const store::Ecosystem& eco, int threads) {
-  StudyOptions opts;
-  opts.threads = threads;
-  Study study(eco, opts);
-  study.Run();
-  return {ExportStudyJson(study), ExportStudyCsv(study),
-          RenderVerdicts(CollectAppVerdicts(study))};
-}
-
 void ExpectSameBytes(const RunBytes& a, const RunBytes& b) {
   EXPECT_EQ(a.json, b.json);
   EXPECT_EQ(a.csv, b.csv);
@@ -99,8 +91,7 @@ class StreamEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(StreamEquivalenceTest, StreamedMatchesMaterializedAcrossTheGrid) {
   const store::Ecosystem& eco =
       pinscope::testing::MakeStudyCorpus(GetParam());
-  const RunBytes reference = RunMaterialized(eco, /*threads=*/1);
-  ASSERT_FALSE(reference.json.empty());
+  const std::string golden = pinscope::testing::ReadStudyGolden(GetParam());
 
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
@@ -108,10 +99,12 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesMaterializedAcrossTheGrid) {
                                     std::size_t{64}}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " queue_depth=" + std::to_string(depth));
-      StreamConfig config;
-      config.threads = threads;
-      config.queue_depth = depth;
-      ExpectSameBytes(reference, RunStreamed(eco, config));
+      StudyOptions opts;
+      opts.threads = threads;
+      opts.queue_depth = depth;
+      EXPECT_EQ(golden, pinscope::testing::DigestLines(
+                            pinscope::testing::RunStudyArtifacts(
+                                eco, opts, /*streamed=*/true)));
     }
   }
 }

@@ -6,13 +6,28 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include "util/parallel.h"
 
 namespace pinscope::obs {
 namespace {
+
+/// Runs body(i) for every i in [0, n), striped across `threads` threads.
+void RunOnThreads(std::size_t n, int threads,
+                  const std::function<void(std::size_t)>& body) {
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); i < n;
+           i += static_cast<std::size_t>(threads)) {
+        body(i);
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+}
 
 TEST(CounterTest, SumsExactlyUnderParallelWriters) {
   MetricsRegistry registry;
@@ -20,10 +35,8 @@ TEST(CounterTest, SumsExactlyUnderParallelWriters) {
   Counter counter = registry.counter("test.adds");
   constexpr std::size_t kItems = 10'000;
 
-  util::ParallelOptions par;
-  par.threads = 8;
-  util::ParallelFor(
-      kItems, [&](std::size_t i) { counter.Add(i % 3 == 0 ? 2 : 1); }, par);
+  RunOnThreads(kItems, 8,
+               [&](std::size_t i) { counter.Add(i % 3 == 0 ? 2 : 1); });
 
   std::uint64_t expected = 0;
   for (std::size_t i = 0; i < kItems; ++i) expected += i % 3 == 0 ? 2 : 1;
@@ -155,10 +168,8 @@ TEST(HistogramTest, CountsExactlyUnderParallelRecorders) {
   MetricsRegistry registry;
   Histogram h = registry.histogram("test.par", {0.5});
   constexpr std::size_t kItems = 8'000;
-  util::ParallelOptions par;
-  par.threads = 8;
-  util::ParallelFor(
-      kItems, [&](std::size_t i) { h.Record(i % 2 == 0 ? 0.0 : 1.0); }, par);
+  RunOnThreads(kItems, 8,
+               [&](std::size_t i) { h.Record(i % 2 == 0 ? 0.0 : 1.0); });
   const HistogramSnapshot snap = registry.Snapshot().histograms.at("test.par");
   EXPECT_EQ(snap.count, kItems);
   EXPECT_EQ(snap.buckets[0], kItems / 2);

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "appmodel/android_package.h"
 #include "staticanalysis/scanner.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "x509/issuer.h"
 #include "x509/pem.h"
@@ -192,11 +194,16 @@ TEST(ScanCacheTest, ConcurrentSharedCacheScansAreIdentical) {
 
   ScanCache cache;
   std::vector<ScanResult> concurrent(apps.size());
-  util::ParallelOptions par;
-  par.threads = 8;
-  util::ParallelFor(
-      apps.size(),
-      [&](std::size_t i) { concurrent[i] = scanner.Scan(apps[i], &cache); }, par);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = t; i < apps.size(); i += kThreads) {
+        concurrent[i] = scanner.Scan(apps[i], &cache);
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
 
   for (std::size_t i = 0; i < apps.size(); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));

@@ -180,6 +180,7 @@ TEST(ValidationCacheTest, ConcurrentMixedWorkloadIsSafeAndConsistent) {
   EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads * kReps * 2));
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(cache.EntryCount(), stats.entries);  // the shards agree once joined
   EXPECT_GE(stats.hits, stats.lookups - 2u * kThreads);  // ≤ one miss/thread/tuple
 }
 

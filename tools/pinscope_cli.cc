@@ -52,14 +52,8 @@ core::StudyOptions StudyOptionsFor(const CliOptions& opts,
                                    obs::Observer* observer) {
   core::StudyOptions sopts;
   sopts.threads = opts.threads;
-  // Results are thread-count invariant, so parallel phases are safe to turn
-  // on whenever the user did not pin the study to one thread.
-  sopts.dynamic.parallel_phases = opts.threads != 1;
-  sopts.scheduler = opts.scheduler == "phases" ? core::SchedulerKind::kPhases
-                                               : core::SchedulerKind::kPipeline;
   sopts.queue_depth = static_cast<std::size_t>(opts.queue_depth);
   sopts.scan_cache = opts.scan_cache;
-  sopts.sim_cache = opts.sim_cache;
   sopts.cache_dir = opts.cache_dir;
   sopts.observer = observer;
   return sopts;
@@ -139,16 +133,9 @@ bool WantsAutopsy(const CliOptions& opts) {
 }
 
 /// Builds the timeline the perf surfaces consume, or nullptr when none was
-/// requested. Warns when the phase-barrier scheduler is selected: it has no
-/// per-item chains, so the timeline would stay empty.
+/// requested.
 std::unique_ptr<obs::Timeline> StartTimeline(const CliOptions& opts) {
   if (!WantsAutopsy(opts)) return nullptr;
-  if (opts.scheduler == "phases") {
-    std::fprintf(stderr,
-                 "warning: --scheduler=phases has no per-app stage chains; "
-                 "the run autopsy will be empty (use the pipeline "
-                 "scheduler)\n");
-  }
   obs::TimelineOptions topts;
   topts.per_worker_cap = static_cast<std::size_t>(opts.timeline_cap);
   return std::make_unique<obs::Timeline>(topts);
@@ -273,22 +260,14 @@ int Usage() {
       "  --seed N            generation seed (default 42)\n"
       "  --threads T         study worker threads; 0 = all hardware threads\n"
       "                      (default 0; results are identical for every T)\n"
-      "  --scheduler=KIND    study execution model: 'pipeline' (barrier-free\n"
-      "                      per-app stage chains; apps overlap across static/\n"
-      "                      dynamic analysis and results stream out as they\n"
-      "                      finish) or 'phases' (corpus-wide fan-out per\n"
-      "                      platform). Default pipeline; results are\n"
-      "                      byte-identical either way (DESIGN.md §13)\n"
-      "  --queue-depth N     pipeline ready-queue capacity; bounds buffered\n"
-      "                      work and applies backpressure (0 = 2x workers;\n"
-      "                      results are identical for every N)\n"
+      "  --queue-depth N     ready-queue capacity of the per-app stage chains\n"
+      "                      (hydrate, static, dynamic, verdict); bounds\n"
+      "                      buffered work and applies backpressure (0 = 2x\n"
+      "                      workers; results are identical for every N;\n"
+      "                      DESIGN.md §13)\n"
       "  --scan-cache=on|off corpus-wide static-scan cache: shared SDK files\n"
       "                      are scanned once per study (default on; results\n"
       "                      are byte-identical either way)\n"
-      "  --sim-cache=on|off  study-wide connection-simulation fixtures: shared\n"
-      "                      proxy CA, forged-leaf cache, root stores, and a\n"
-      "                      chain-validation memo (default on; results are\n"
-      "                      byte-identical either way)\n"
       "  --json FILE         (study) export per-app records as JSON Lines\n"
       "  --csv FILE          (study) export per-destination rows as CSV\n"
       "  --metrics-out FILE  (study/tables) write pipeline metrics — counters,\n"
