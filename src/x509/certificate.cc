@@ -38,18 +38,31 @@ Certificate::Certificate(CertificateData data) : data_(std::move(data)) {
 }
 
 Certificate::DigestCache& Certificate::Cache() const {
-  std::shared_ptr<DigestCache> cache =
-      digests_.load(std::memory_order_acquire);
+  DigestCache* cache = digests_.load(std::memory_order_acquire);
   if (cache == nullptr) {
-    auto fresh = std::make_shared<DigestCache>();
-    if (digests_.compare_exchange_strong(cache, fresh,
+    auto fresh = std::make_unique<DigestCache>();
+    if (digests_.compare_exchange_strong(cache, fresh.get(),
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-      cache = std::move(fresh);
+      cache = fresh.release();
     }
     // On failure `cache` was reloaded with the winning thread's cache.
   }
   return *cache;
+}
+
+Certificate::DigestCache* Certificate::Share(
+    const std::atomic<DigestCache*>& slot) {
+  DigestCache* cache = slot.load(std::memory_order_acquire);
+  if (cache != nullptr) cache->refs.fetch_add(1, std::memory_order_relaxed);
+  return cache;
+}
+
+void Certificate::Release(DigestCache* cache) {
+  if (cache != nullptr &&
+      cache->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete cache;
+  }
 }
 
 const util::Bytes& Certificate::TbsBytes() const {

@@ -50,29 +50,31 @@ class Certificate {
 
   // The digest cache is allocated lazily (see Cache()), so copies must read
   // the slot atomically: a copy may race with another thread's first digest
-  // computation on the same source object.
+  // computation on the same source object. Copies share the cache through
+  // its reference count; a move hands the source's reference over.
   Certificate(const Certificate& other)
-      : data_(other.data_),
-        digests_(other.digests_.load(std::memory_order_acquire)) {}
+      : data_(other.data_), digests_(Share(other.digests_)) {}
   Certificate(Certificate&& other) noexcept
       : data_(std::move(other.data_)),
-        digests_(other.digests_.load(std::memory_order_acquire)) {}
+        digests_(other.digests_.exchange(nullptr, std::memory_order_acq_rel)) {}
   Certificate& operator=(const Certificate& other) {
     if (this != &other) {
       data_ = other.data_;
-      digests_.store(other.digests_.load(std::memory_order_acquire),
-                     std::memory_order_release);
+      Release(digests_.exchange(Share(other.digests_),
+                                std::memory_order_acq_rel));
     }
     return *this;
   }
   Certificate& operator=(Certificate&& other) noexcept {
     if (this != &other) {
       data_ = std::move(other.data_);
-      digests_.store(other.digests_.load(std::memory_order_acquire),
-                     std::memory_order_release);
+      Release(digests_.exchange(
+          other.digests_.exchange(nullptr, std::memory_order_acq_rel),
+          std::memory_order_acq_rel));
     }
     return *this;
   }
+  ~Certificate() { Release(digests_.load(std::memory_order_acquire)); }
 
   [[nodiscard]] const CertificateData& data() const { return data_; }
   [[nodiscard]] const std::string& serial() const { return data_.serial_hex; }
@@ -150,6 +152,8 @@ class Certificate {
   /// issuance needs them on not-yet-signed certificates whose digests would
   /// be meaningless.
   struct DigestCache {
+    /// Certificates holding this cache; the last one to let go deletes it.
+    std::atomic<std::size_t> refs{1};
     std::once_flag tbs_once;
     util::Bytes tbs;
     std::once_flag once;
@@ -166,8 +170,18 @@ class Certificate {
 
   const DigestCache& Digests() const;
 
+  /// A new reference to the cache in `slot` (nullptr while unallocated).
+  static DigestCache* Share(const std::atomic<DigestCache*>& slot);
+  /// Drops one reference to `cache` (nullptr is a no-op).
+  static void Release(DigestCache* cache);
+
   CertificateData data_;
-  mutable std::atomic<std::shared_ptr<DigestCache>> digests_;
+  /// A raw pointer with an intrusive count rather than
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's atomic shared_ptr unlocks
+  /// its load() with a relaxed store, so a load racing with the first-use
+  /// CAS is a data race under the C++ memory model (and ThreadSanitizer
+  /// reports it).
+  mutable std::atomic<DigestCache*> digests_{nullptr};
 };
 
 /// An ordered certificate chain, leaf first (as servers send it).
