@@ -258,38 +258,4 @@ class Telemetry {
   std::thread sampler_;
 };
 
-/// Null-safe hook wrappers: study wiring stays unconditional when no
-/// telemetry is attached, mirroring the Counter/Histogram handle idiom.
-inline void TelemetryAddTotal(Telemetry* t, std::size_t n) {
-  if (t != nullptr) t->AddTotal(n);
-}
-inline void TelemetryItemDone(Telemetry* t, std::uint64_t key) {
-  if (t != nullptr) t->OnItemDone(key);
-}
-
-/// RAII stage marker: OnStageStart at construction, OnStageEnd at scope
-/// exit (exceptions included, so a failing stage never leaks an in-flight
-/// entry). Null telemetry = no-op.
-class StageWatch {
- public:
-  StageWatch() = default;
-  StageWatch(Telemetry* telemetry, std::uint64_t key, std::string_view platform,
-             std::string_view app_id, std::string_view stage)
-      : telemetry_(telemetry), key_(key), stage_(stage) {
-    if (telemetry_ != nullptr) {
-      telemetry_->OnStageStart(key_, platform, app_id, stage_);
-    }
-  }
-  StageWatch(const StageWatch&) = delete;
-  StageWatch& operator=(const StageWatch&) = delete;
-  ~StageWatch() {
-    if (telemetry_ != nullptr) telemetry_->OnStageEnd(key_, stage_);
-  }
-
- private:
-  Telemetry* telemetry_ = nullptr;
-  std::uint64_t key_ = 0;
-  std::string stage_;
-};
-
 }  // namespace pinscope::obs

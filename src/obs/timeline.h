@@ -50,7 +50,7 @@ inline constexpr std::size_t kIntervalKindCount = 5;
 [[nodiscard]] std::string_view IntervalKindName(IntervalKind kind);
 
 /// One sampled interval. `key` is the caller-defined 64-bit item identity
-/// for kStage intervals (the study drivers use TelemetryKey: platform rank
+/// for kStage intervals (the study driver uses TelemetryKey: platform rank
 /// in the top bits, universe index below); `label` indexes the timeline's
 /// interned stage names (kStage) or lock names (kLockWait), 0 elsewhere.
 struct TimelineInterval {
