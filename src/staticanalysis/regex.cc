@@ -1,8 +1,9 @@
 #include "staticanalysis/regex.h"
 
 #include <algorithm>
-#include <functional>
+#include <bitset>
 #include <limits>
+#include <utility>
 
 #include "util/error.h"
 
@@ -16,10 +17,9 @@ constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
 enum class AtomKind { kLiteral, kAny, kClass, kGroup };
 
-}  // namespace
-
-struct Regex::Node {
-  // A Node is a group: a list of alternatives, each a sequence of atoms.
+// A Node is a group: a list of alternatives, each a sequence of atoms. The
+// AST lives only during construction; matching runs on the compiled NFA.
+struct Node {
   struct Atom {
     AtomKind kind = AtomKind::kLiteral;
     char literal = 0;
@@ -34,13 +34,11 @@ struct Regex::Node {
 
 // --- Parser ------------------------------------------------------------
 
-namespace {
-
 class Parser {
  public:
   explicit Parser(std::string_view p) : p_(p) {}
 
-  std::unique_ptr<Regex::Node> Parse() {
+  std::unique_ptr<Node> Parse() {
     auto node = ParseGroupBody();
     if (pos_ != p_.size()) Fail("unexpected ')'");
     return node;
@@ -58,8 +56,8 @@ class Parser {
     return p_[pos_++];
   }
 
-  std::unique_ptr<Regex::Node> ParseGroupBody() {
-    auto node = std::make_unique<Regex::Node>();
+  std::unique_ptr<Node> ParseGroupBody() {
+    auto node = std::make_unique<Node>();
     node->alternatives.emplace_back();
     while (!AtEnd() && Peek() != ')') {
       if (Peek() == '|') {
@@ -72,8 +70,8 @@ class Parser {
     return node;
   }
 
-  Regex::Node::Atom ParseAtom() {
-    Regex::Node::Atom atom;
+  Node::Atom ParseAtom() {
+    Node::Atom atom;
     const char c = Next();
     switch (c) {
       case '(': {
@@ -139,7 +137,7 @@ class Parser {
     return cls;
   }
 
-  void ParseQuantifier(Regex::Node::Atom& atom) {
+  void ParseQuantifier(Node::Atom& atom) {
     if (AtEnd()) return;
     switch (Peek()) {
       case '*':
@@ -189,91 +187,220 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-// --- Matcher -----------------------------------------------------------
-
-// Backtracking matcher. The continuation is invoked with the subject position
-// after a successful partial match; returning true commits the parse. The
-// continuation is type-erased: the AST nests at run time, so a templated
-// continuation would instantiate without bound.
-class Matcher {
- public:
-  using Cont = std::function<bool(std::size_t)>;
-
-  explicit Matcher(std::string_view text) : text_(text) {}
-
-  // Longest match of `node` starting at `pos`; npos if none.
-  std::size_t LongestMatch(const Regex::Node& node, std::size_t pos) {
-    best_ = std::string_view::npos;
-    MatchNode(node, pos, [this](std::size_t end) {
-      if (best_ == std::string_view::npos || end > best_) best_ = end;
-      return false;  // keep exploring for a longer match
-    });
-    return best_;
-  }
-
- private:
-  bool MatchNode(const Regex::Node& node, std::size_t pos, const Cont& cont) {
-    for (const auto& alt : node.alternatives) {
-      if (MatchSeq(alt, 0, pos, cont)) return true;
-    }
-    return false;
-  }
-
-  bool MatchSeq(const Regex::Node::Sequence& seq, std::size_t idx, std::size_t pos,
-                const Cont& cont) {
-    if (idx == seq.size()) return cont(pos);
-    return MatchAtomRep(seq, idx, seq[idx], 0, pos, cont);
-  }
-
-  // Matches `count` occurrences so far of `atom`, then either more (greedy)
-  // or the rest of the sequence.
-  bool MatchAtomRep(const Regex::Node::Sequence& seq, std::size_t idx,
-                    const Regex::Node::Atom& atom, std::size_t count,
-                    std::size_t pos, const Cont& cont) {
-    // Greedy: try one more repetition first (if allowed).
-    if (count < atom.max) {
-      const bool matched = MatchSingle(atom, pos, [&](std::size_t next) {
-        return MatchAtomRep(seq, idx, atom, count + 1, next, cont);
-      });
-      if (matched) return true;
-    }
-    if (count >= atom.min) {
-      return MatchSeq(seq, idx + 1, pos, cont);
-    }
-    return false;
-  }
-
-  bool MatchSingle(const Regex::Node::Atom& atom, std::size_t pos, const Cont& cont) {
-    switch (atom.kind) {
-      case AtomKind::kLiteral:
-        if (pos < text_.size() && text_[pos] == atom.literal) return cont(pos + 1);
-        return false;
-      case AtomKind::kAny:
-        if (pos < text_.size()) return cont(pos + 1);
-        return false;
-      case AtomKind::kClass:
-        if (pos < text_.size() &&
-            atom.cls.test(static_cast<unsigned char>(text_[pos]))) {
-          return cont(pos + 1);
-        }
-        return false;
-      case AtomKind::kGroup:
-        return MatchNode(*atom.group, pos, cont);
-    }
-    return false;
-  }
-
-  std::string_view text_;
-  std::size_t best_ = std::string_view::npos;
-};
-
 }  // namespace
+
+// --- Thompson NFA ------------------------------------------------------
+
+// The compiled pattern. Every consuming state tests one byte against a
+// class (a literal is a one-byte class, '.' the full one) and continues at
+// `out`; a split continues at both `out` and `out1`; the match state ends a
+// path. The program is built back to front from the match state, so every
+// edge except a loop's back edge points at an already emitted state.
+struct Regex::Program {
+  enum class Op : std::uint8_t { kConsume, kSplit, kMatch };
+  struct State {
+    Op op = Op::kMatch;
+    std::uint32_t cls = 0;   // kConsume: index into `classes`
+    std::uint32_t out = 0;   // kConsume: next state; kSplit: first branch
+    std::uint32_t out1 = 0;  // kSplit: second branch
+  };
+  std::vector<State> states;
+  std::vector<std::bitset<256>> classes;
+  std::uint32_t start = 0;
+};
 
 namespace {
 
+using Program = Regex::Program;
+
+class Compiler {
+ public:
+  explicit Compiler(std::string_view pattern) : pattern_(pattern) {}
+
+  std::unique_ptr<const Program> Compile(const Node& root) {
+    prog_->start = Alternation(root, Emit({Program::Op::kMatch, 0, 0, 0}));
+    return std::move(prog_);
+  }
+
+ private:
+  std::uint32_t Emit(const Program::State& state) {
+    if (prog_->states.size() >= Regex::kMaxStates) {
+      throw util::ParseError("regex '" + std::string(pattern_) +
+                             "': pattern too large");
+    }
+    prog_->states.push_back(state);
+    return static_cast<std::uint32_t>(prog_->states.size() - 1);
+  }
+
+  std::uint32_t Consume(const std::bitset<256>& cls, std::uint32_t next) {
+    auto& classes = prog_->classes;
+    const auto it = std::find(classes.begin(), classes.end(), cls);
+    const auto index = static_cast<std::uint32_t>(it - classes.begin());
+    if (it == classes.end()) classes.push_back(cls);
+    return Emit({Program::Op::kConsume, index, next, 0});
+  }
+
+  // split(a0, split(a1, ... an)), each alternative continuing at `next`.
+  std::uint32_t Alternation(const Node& node, std::uint32_t next) {
+    auto alt = node.alternatives.rbegin();
+    std::uint32_t start = Sequence(*alt, next);
+    for (++alt; alt != node.alternatives.rend(); ++alt) {
+      start = Emit({Program::Op::kSplit, 0, Sequence(*alt, next), start});
+    }
+    return start;
+  }
+
+  std::uint32_t Sequence(const Node::Sequence& seq, std::uint32_t next) {
+    for (auto atom = seq.rbegin(); atom != seq.rend(); ++atom) {
+      next = Repeat(*atom, next);
+    }
+    return next;
+  }
+
+  // atom{min,max}: `min` copies, then either a loop (max unbounded) or
+  // max-min nested optional copies (x(x(x)?)?)? whose skips all jump
+  // straight to `next`, so at most one copy's states are live at a time.
+  std::uint32_t Repeat(const Node::Atom& atom, std::uint32_t next) {
+    std::uint32_t tail = next;
+    if (atom.max == kUnbounded) {
+      tail = Emit({Program::Op::kSplit, 0, 0, next});
+      const std::uint32_t body = Once(atom, tail);
+      prog_->states[tail].out = body;
+    } else {
+      for (std::size_t i = atom.min; i < atom.max; ++i) {
+        tail = Emit({Program::Op::kSplit, 0, Once(atom, tail), next});
+      }
+    }
+    for (std::size_t i = 0; i < atom.min; ++i) tail = Once(atom, tail);
+    return tail;
+  }
+
+  std::uint32_t Once(const Node::Atom& atom, std::uint32_t next) {
+    switch (atom.kind) {
+      case AtomKind::kLiteral: {
+        std::bitset<256> cls;
+        cls.set(static_cast<unsigned char>(atom.literal));
+        return Consume(cls, next);
+      }
+      case AtomKind::kAny:
+        return Consume(std::bitset<256>().set(), next);
+      case AtomKind::kClass:
+        return Consume(atom.cls, next);
+      case AtomKind::kGroup:
+        return Alternation(*atom.group, next);
+    }
+    return next;
+  }
+
+  std::string_view pattern_;
+  std::unique_ptr<Program> prog_ = std::make_unique<Program>();
+};
+
+// --- Pike VM -----------------------------------------------------------
+
+// Per-thread VM scratch, grown to the largest program the thread has run
+// and then reused, so a warm MatchAt allocates nothing. `seen[s] == gen`
+// marks state s as already added in the current step; bumping `gen` clears
+// every mark at once, and the marks are zeroed when the counter wraps.
+struct PikeScratch {
+  std::vector<std::uint32_t> seen;
+  std::vector<std::uint32_t> curr;   // consuming states live before a byte
+  std::vector<std::uint32_t> next;   // ... and after it
+  std::vector<std::uint32_t> stack;  // epsilon-closure work list
+  std::uint32_t gen = 0;
+
+  void Reserve(std::size_t states) {
+    if (seen.size() >= states) return;
+    seen.resize(states, 0);
+    curr.resize(states);
+    next.resize(states);
+    stack.resize(states);
+  }
+
+  std::uint32_t NextGeneration() {
+    if (++gen == 0) {
+      std::fill(seen.begin(), seen.end(), 0);
+      gen = 1;
+    }
+    return gen;
+  }
+};
+
+thread_local PikeScratch t_scratch;
+
+// Adds the consuming states reachable from `s` over split edges to
+// `list[n...]`, each once per generation; true if the match state is
+// reachable. States are marked when pushed, so the stack never holds more
+// entries than the program has states.
+bool AddClosure(const Program& prog, PikeScratch& sc, std::uint32_t s,
+                std::uint32_t gen, std::uint32_t* list, std::size_t& n) {
+  std::uint32_t* const seen = sc.seen.data();
+  std::uint32_t* const stack = sc.stack.data();
+  if (seen[s] == gen) return false;
+  seen[s] = gen;
+  std::size_t top = 0;
+  stack[top++] = s;
+  bool matched = false;
+  while (top > 0) {
+    const std::uint32_t id = stack[--top];
+    const Program::State& state = prog.states[id];
+    switch (state.op) {
+      case Program::Op::kConsume:
+        list[n++] = id;
+        break;
+      case Program::Op::kMatch:
+        matched = true;
+        break;
+      case Program::Op::kSplit:
+        if (seen[state.out1] != gen) {
+          seen[state.out1] = gen;
+          stack[top++] = state.out1;
+        }
+        if (seen[state.out] != gen) {
+          seen[state.out] = gen;
+          stack[top++] = state.out;
+        }
+        break;
+    }
+  }
+  return matched;
+}
+
+// End of the longest match starting at `pos`, or npos. Every live state is
+// advanced in lockstep, so the subject is read once, left to right, and the
+// run stops when no state is live.
+std::size_t LongestMatchEnd(const Program& prog, std::string_view text,
+                            std::size_t pos) {
+  PikeScratch& sc = t_scratch;
+  sc.Reserve(prog.states.size());
+  std::uint32_t* curr = sc.curr.data();
+  std::uint32_t* next = sc.next.data();
+  std::size_t live = 0;
+  std::size_t best = std::string_view::npos;
+  if (AddClosure(prog, sc, prog.start, sc.NextGeneration(), curr, live)) {
+    best = pos;
+  }
+  for (std::size_t p = pos; live > 0 && p < text.size(); ++p) {
+    const auto byte = static_cast<unsigned char>(text[p]);
+    const std::uint32_t gen = sc.NextGeneration();
+    std::size_t next_live = 0;
+    bool matched = false;
+    for (std::size_t i = 0; i < live; ++i) {
+      const Program::State& state = prog.states[curr[i]];
+      if (prog.classes[state.cls][byte]) {
+        matched |= AddClosure(prog, sc, state.out, gen, next, next_live);
+      }
+    }
+    if (matched) best = p + 1;
+    std::swap(curr, next);
+    live = next_live;
+  }
+  return best;
+}
+
 // Mandatory literal prefix of a pattern: the leading run of single-shot
 // literal atoms in a single-alternative root.
-std::string ComputePrefix(const Regex::Node& root) {
+std::string ComputePrefix(const Node& root) {
   std::string prefix;
   if (root.alternatives.size() != 1) return prefix;
   for (const auto& atom : root.alternatives.front()) {
@@ -308,15 +435,15 @@ struct LenRange {
   std::size_t max = 0;  // kUnbounded when a quantifier is open-ended
 };
 
-LenRange NodeLen(const Regex::Node& node);
+LenRange NodeLen(const Node& node);
 
-LenRange AtomLen(const Regex::Node::Atom& atom) {
+LenRange AtomLen(const Node::Atom& atom) {
   LenRange base{1, 1};
   if (atom.kind == AtomKind::kGroup) base = NodeLen(*atom.group);
   return {SatMul(atom.min, base.min), SatMul(atom.max, base.max)};
 }
 
-LenRange NodeLen(const Regex::Node& node) {
+LenRange NodeLen(const Node& node) {
   LenRange out{kUnbounded, 0};
   for (const auto& alt : node.alternatives) {
     LenRange seq{0, 0};
@@ -337,13 +464,13 @@ struct Candidate {
   std::size_t max_offset = 0;
 };
 
-std::vector<Candidate> CollectNode(const Regex::Node& node);
+std::vector<Candidate> CollectNode(const Node& node);
 
 // Mandatory literals of one alternative. Runs accumulate over consecutive
 // mandatory literal atoms; an exact quantifier {n} contributes n adjacent
 // copies (capped), a variable one contributes its guaranteed minimum and
 // then breaks the run (the following atom is no longer at a fixed distance).
-void CollectSeq(const Regex::Node::Sequence& seq, std::vector<Candidate>& out) {
+void CollectSeq(const Node::Sequence& seq, std::vector<Candidate>& out) {
   constexpr std::size_t kMaxLiteralRepeat = 64;
   std::size_t min_off = 0;
   std::size_t max_off = 0;
@@ -385,7 +512,7 @@ void CollectSeq(const Regex::Node::Sequence& seq, std::vector<Candidate>& out) {
 // mandatory literals); the window is the union over alternatives. Exact
 // equality is not required — "foo|food" anchors on "foo" — but maximal
 // common substrings are not synthesized ("food|foot" yields no anchor).
-std::vector<Candidate> CollectNode(const Regex::Node& node) {
+std::vector<Candidate> CollectNode(const Node& node) {
   std::vector<std::vector<Candidate>> lists;
   lists.reserve(node.alternatives.size());
   for (const auto& alt : node.alternatives) {
@@ -427,7 +554,7 @@ std::vector<Candidate> CollectNode(const Regex::Node& node) {
 
 // Best anchor: longest literal; ties prefer a bounded window, then a
 // tighter one, then lexicographic order (a deterministic compile).
-LiteralAnchor ComputeAnchor(const Regex::Node& root) {
+LiteralAnchor ComputeAnchor(const Node& root) {
   LiteralAnchor best;
   for (const Candidate& c : CollectNode(root)) {
     const LiteralAnchor cand{c.literal, c.min_offset, c.max_offset};
@@ -456,11 +583,12 @@ LiteralAnchor ComputeAnchor(const Regex::Node& root) {
 
 // --- Public API ---------------------------------------------------------
 
-Regex::Regex(std::string_view pattern)
-    : pattern_(pattern),
-      root_(Parser(pattern).Parse()),
-      prefix_(ComputePrefix(*root_)),
-      anchor_(ComputeAnchor(*root_)) {}
+Regex::Regex(std::string_view pattern) : pattern_(pattern) {
+  const std::unique_ptr<Node> root = Parser(pattern).Parse();
+  program_ = Compiler(pattern).Compile(*root);
+  prefix_ = ComputePrefix(*root);
+  anchor_ = ComputeAnchor(*root);
+}
 
 Regex::Regex(Regex&&) noexcept = default;
 Regex& Regex::operator=(Regex&&) noexcept = default;
@@ -468,8 +596,7 @@ Regex::~Regex() = default;
 
 bool Regex::MatchAt(std::string_view text, std::size_t pos,
                     std::size_t* match_len) const {
-  Matcher m(text);
-  const std::size_t end = m.LongestMatch(*root_, pos);
+  const std::size_t end = LongestMatchEnd(*program_, text, pos);
   if (end == std::string_view::npos) return false;
   if (match_len != nullptr) *match_len = end - pos;
   return true;
@@ -544,5 +671,13 @@ std::vector<RegexMatch> Regex::FindAll(std::string_view text) const {
   }
   return out;
 }
+
+namespace internal {
+
+void SetMatchGenerationForTesting(std::uint32_t generation) {
+  t_scratch.gen = generation;
+}
+
+}  // namespace internal
 
 }  // namespace pinscope::staticanalysis

@@ -4,6 +4,8 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "crypto/sha256.h"
+
 namespace pinscope::staticanalysis {
 
 bool StaticReport::PotentialPinning() const { return scan.HasPinningEvidence(); }
@@ -29,8 +31,12 @@ namespace {
 constexpr std::string_view kPinRule = "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
 
 // Decision events for the static layer, derived from the finished report so
-// they are identical with the scan cache on or off (DESIGN.md §12).
+// they are identical with the scan cache on or off (DESIGN.md §12). Without
+// a journal there is nothing to number, so the per-pin field vectors are not
+// built at all; with one, every event is emitted, because the scope's
+// sequence numbers are allocated before the severity filter.
 void EmitStaticEvents(const StaticReport& report, obs::EventScope& log) {
+  if (log.log() == nullptr) return;
   if (!report.decryption_ok) {
     log.Emit(obs::Severity::kWarn, "static.decrypt_failed",
              {{"app", report.app_id}});
@@ -120,23 +126,22 @@ StaticReport AnalyzeStatically(const appmodel::App& app,
   // §4.1.3: resolve found pin hashes against the CT log.
   if (options.ct_log != nullptr) {
     // Views into report.scan.pins (stable for the loop's lifetime): a
-    // pin-dense file would otherwise pay one heap string per dedup insert
-    // and another per substr.
+    // pin-dense file would otherwise pay one heap string per dedup insert.
+    // Each pin is looked up by the digest bytes Pin::FromPinString already
+    // decoded, and the log hands back indices, not certificate copies.
+    const x509::CtLog& ct_log = *options.ct_log;
     std::unordered_set<std::string_view> seen_pins;
     seen_pins.reserve(report.scan.pins.size());
-    std::set<std::string> seen_fingerprints;
+    std::set<crypto::Sha256Digest> seen_fingerprints;
     for (const FoundPin& pin : report.scan.pins) {
       if (!pin.parsed.has_value()) continue;
       if (!seen_pins.insert(pin.pin_string).second) continue;
       ++report.pins_total;
-      const std::string_view pin_str = pin.pin_string;
-      const auto certs =
-          options.ct_log->FindBySpkiDigest(pin_str.substr(pin_str.find('/') + 1));
-      if (!certs.empty()) ++report.pins_resolved;
-      for (const x509::Certificate& cert : certs) {
-        const auto fp = cert.FingerprintSha256();
-        const std::string key(fp.begin(), fp.end());
-        if (seen_fingerprints.insert(key).second) {
+      const auto indices = ct_log.SpkiDigestIndices(pin.parsed->material);
+      if (!indices.empty()) ++report.pins_resolved;
+      for (const std::size_t idx : indices) {
+        const x509::Certificate& cert = ct_log.certificate(idx);
+        if (seen_fingerprints.insert(cert.FingerprintSha256()).second) {
           report.ct_resolved.push_back(cert);
         }
       }
