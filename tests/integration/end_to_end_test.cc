@@ -3,6 +3,10 @@
 // module-level tests cannot see.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/analyses.h"
 #include "core/study.h"
 #include "dynamicanalysis/pipeline.h"
@@ -95,6 +99,45 @@ TEST(EndToEndTest, CtResolutionEnrichesStaticPins) {
   }
   ASSERT_GT(apps_with_pins, 0);
   EXPECT_GT(apps_with_resolution, 0);
+}
+
+TEST(EndToEndTest, CtResolutionMatchesTheDigestStringLookup) {
+  // AnalyzeStatically resolves each distinct well-formed pin by its decoded
+  // digest bytes; resolving the pin's text after the '/' through
+  // FindBySpkiDigest must give the same counts and certificates, in order.
+  staticanalysis::StaticAnalysisOptions opts;
+  opts.ct_log = &Eco().ct_log();
+  int checked = 0;
+  for (Platform p : {Platform::kAndroid, Platform::kIos}) {
+    for (const auto& app : Eco().apps(p)) {
+      const auto report = staticanalysis::AnalyzeStatically(app, opts);
+      std::set<std::string> seen_pins;
+      std::set<std::string> seen_fingerprints;
+      std::size_t pins_total = 0, pins_resolved = 0;
+      std::vector<x509::Certificate> resolved;
+      for (const auto& pin : report.scan.pins) {
+        if (!pin.parsed.has_value() || !seen_pins.insert(pin.pin_string).second) {
+          continue;
+        }
+        ++pins_total;
+        const std::string_view text = pin.pin_string;
+        const auto certs = Eco().ct_log().FindBySpkiDigest(
+            text.substr(text.find('/') + 1));
+        if (!certs.empty()) ++pins_resolved;
+        for (const auto& cert : certs) {
+          const auto fp = cert.FingerprintSha256();
+          if (seen_fingerprints.insert(std::string(fp.begin(), fp.end())).second) {
+            resolved.push_back(cert);
+          }
+        }
+      }
+      EXPECT_EQ(report.pins_total, pins_total) << app.meta.app_id;
+      EXPECT_EQ(report.pins_resolved, pins_resolved) << app.meta.app_id;
+      EXPECT_EQ(report.ct_resolved, resolved) << app.meta.app_id;
+      checked += pins_resolved > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(EndToEndTest, CertMatchStatsFavorCaPins) {

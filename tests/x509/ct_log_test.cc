@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "util/base64.h"
 #include "util/hex.h"
 #include "x509/issuer.h"
@@ -82,6 +84,38 @@ TEST(CtLogTest, SharedKeyReturnsAllCertificates) {
                    util::HexEncode(util::Bytes(digest.begin(), digest.end())))
                 .size(),
             2u);
+}
+
+TEST(CtLogTest, RawDigestLookupYieldsIndicesInLoggingOrder) {
+  CtLog log;
+  const Certificate a = MakeCert("a.example.com");
+  const Certificate b = MakeCert("b.example.com");
+  log.Add(a);
+  log.Add(b);
+  const auto by_sha256 = log.SpkiDigestIndices(b.SpkiSha256());
+  ASSERT_EQ(by_sha256.size(), 1u);
+  EXPECT_EQ(log.certificate(by_sha256[0]), b);
+  const auto by_sha1 = log.SpkiDigestIndices(a.SpkiSha1());
+  ASSERT_EQ(by_sha1.size(), 1u);
+  EXPECT_EQ(log.certificate(by_sha1[0]), a);
+
+  // The string form decodes into the same index.
+  const auto digest = b.SpkiSha256();
+  const auto found = log.FindBySpkiDigest(
+      util::Base64Encode(util::Bytes(digest.begin(), digest.end())));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0], log.certificate(by_sha256[0]));
+}
+
+TEST(CtLogTest, UnknownRawDigestYieldsNoIndices) {
+  CtLog log;
+  log.Add(MakeCert("known.example.com"));
+  const util::Bytes unknown(32, 0xab);
+  EXPECT_TRUE(log.SpkiDigestIndices(unknown).empty());
+  EXPECT_TRUE(log.SpkiDigestIndices(util::Bytes{}).empty());
+  // A truncated digest never matches the full one.
+  const auto digest = MakeCert("known.example.com").SpkiSha256();
+  EXPECT_TRUE(log.SpkiDigestIndices(std::span(digest).first(20)).empty());
 }
 
 TEST(CtLogTest, FindBySubjectCn) {
