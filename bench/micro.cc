@@ -225,8 +225,8 @@ BENCHMARK(BM_PinRegexFindAll);
 // The literal-anchor prefilter on a pin-free megabyte — the common case for
 // scanned app content. Arg selects the anchor shape: 0 = prefix literal
 // ("sha..."), 1 = interior literal behind a group (invisible to the old
-// prefix-only prefilter), 2 = no extractable literal (pure backtracking
-// floor, unchanged by this work).
+// prefix-only prefilter), 2 = no extractable literal (the matcher runs at
+// every position: the NFA's floor).
 void BM_RegexScan1MiB(benchmark::State& state) {
   static const std::string haystack = [] {
     std::string s;
