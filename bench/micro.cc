@@ -207,51 +207,33 @@ void BM_StaticScan(benchmark::State& state) {
 }
 BENCHMARK(BM_StaticScan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_PinRegexFindAll(benchmark::State& state) {
-  const staticanalysis::Regex re("sha(1|256)/[a-zA-Z0-9+/=]{28,64}");
+// The pin rule on 8 KB of smali-like filler holding one pin: the scanner's
+// prefilter sweep, then PinMatchLength at each `sha` hit past the
+// non-overlapping cursor — the pin half of Scanner::Scan's content loop.
+void BM_PinMatchFindAll(benchmark::State& state) {
+  const staticanalysis::Scanner scanner;
   std::string haystack;
   for (int i = 0; i < 200; ++i) {
     haystack += "const-string v0, \"https://endpoint" + std::to_string(i) + ".com\"\n";
   }
   haystack += "sha256/" + std::string(43, 'R') + "=";
+  std::vector<staticanalysis::PrefilterHit> hits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(re.FindAll(haystack));
+    scanner.prefilter().FindAll(haystack, hits);
+    std::size_t cursor = 0, pins = 0;
+    for (const staticanalysis::PrefilterHit& hit : hits) {
+      if (hit.pattern != 1 || hit.pos < cursor) continue;
+      if (const std::size_t len = staticanalysis::PinMatchLength(haystack, hit.pos)) {
+        ++pins;
+        cursor = hit.pos + len;
+      }
+    }
+    benchmark::DoNotOptimize(pins);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(haystack.size()));
 }
-BENCHMARK(BM_PinRegexFindAll);
-
-// The literal-anchor prefilter on a pin-free megabyte — the common case for
-// scanned app content. Arg selects the anchor shape: 0 = prefix literal
-// ("sha..."), 1 = interior literal behind a group (invisible to the old
-// prefix-only prefilter), 2 = no extractable literal (the matcher runs at
-// every position: the NFA's floor).
-void BM_RegexScan1MiB(benchmark::State& state) {
-  static const std::string haystack = [] {
-    std::string s;
-    s.reserve(1 << 20);
-    util::Rng rng(8);
-    while (s.size() < (1 << 20)) {
-      s += "const-string v" + std::to_string(rng.UniformInt(0, 9)) +
-           ", \"https://host" + std::to_string(rng.UniformInt(0, 9999)) +
-           ".example.com/path\"\n";
-    }
-    return s;
-  }();
-  static const staticanalysis::Regex patterns[] = {
-      staticanalysis::Regex("sha(1|256)/[a-zA-Z0-9+/=]{28,64}"),
-      staticanalysis::Regex("(-----BEGIN |-----END )CERTIFICATE-----"),
-      staticanalysis::Regex("[a-z]+[0-9]{4}[a-z]+"),
-  };
-  const staticanalysis::Regex& re = patterns[state.range(0)];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(re.FindAll(haystack));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(haystack.size()));
-}
-BENCHMARK(BM_RegexScan1MiB)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PinMatchFindAll);
 
 void BM_UsedConnectionClassification(benchmark::State& state) {
   net::Flow flow;

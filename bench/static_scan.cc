@@ -4,13 +4,8 @@
 // client stubs and bundled PEM chain, plus a few app-unique files) end to
 // end with the content-hash scan cache off and on, and writes the results
 // as machine-readable JSON to BENCH_static_scan.json so CI can track the
-// speedup over time.
-//
-// A second dimension compares the content-scan inner loop itself: the same
-// uncached corpus pass with the SIMD multi-literal prefilter (one batched
-// sweep for the PEM marker + pin anchor, see staticanalysis/prefilter.h)
-// against the legacy per-pattern anchor sweep (PINSCOPE_NO_PREFILTER), with
-// a result-equality guard — the two scanners must find identical pins.
+// speedup over time, with a result-equality guard: both passes must find
+// identical pins. The JSON also names the prefilter's SIMD tier.
 //
 // Knobs: PINSCOPE_BENCH_APPS (corpus size, default 64),
 //        PINSCOPE_BENCH_REPS (timed repetitions, default 5; best rep wins).
@@ -123,29 +118,15 @@ int main() {
   }
 
   const staticanalysis::Scanner scanner;
-  // The legacy-sweep scanner for the prefilter dimension: the knob is read
-  // at construction, so scope it to this one object.
-  ::setenv("PINSCOPE_NO_PREFILTER", "1", 1);
-  const staticanalysis::Scanner legacy_scanner;
-  ::unsetenv("PINSCOPE_NO_PREFILTER");
-  if (!scanner.prefilter_enabled() || legacy_scanner.prefilter_enabled()) {
-    std::fprintf(stderr, "FATAL: prefilter knob wiring broken\n");
-    return 1;
-  }
 
-  std::size_t pins_off = 0, pins_on = 0, pins_legacy = 0;
-  double best_off = 0.0, best_on = 0.0, best_legacy = 0.0;
+  std::size_t pins_off = 0, pins_on = 0;
+  double best_off = 0.0, best_on = 0.0;
   staticanalysis::ScanCacheStats stats;
   // Per-phase wall-time histograms (one sample per rep), embedded into the
   // JSON below as the "phases" breakdown.
   obs::MetricsRegistry registry;
   for (int r = 0; r < reps; ++r) {
-    double off = 0.0, on = 0.0, legacy = 0.0;
-    {
-      obs::ScopedTimer timer(
-          obs::PhaseHistogramOrNull(&registry, "phase.scan_legacy_sweep"));
-      legacy = TimedPass(legacy_scanner, corpus, nullptr, &pins_legacy);
-    }
+    double off = 0.0, on = 0.0;
     {
       obs::ScopedTimer timer(
           obs::PhaseHistogramOrNull(&registry, "phase.scan_uncached"));
@@ -157,28 +138,22 @@ int main() {
           obs::PhaseHistogramOrNull(&registry, "phase.scan_cached"));
       on = TimedPass(scanner, corpus, &cache, &pins_on);
     }
-    if (r == 0 || legacy < best_legacy) best_legacy = legacy;
     if (r == 0 || off < best_off) best_off = off;
     if (r == 0 || on < best_on) {
       best_on = on;
       stats = cache.Stats();
     }
-    std::fprintf(stderr,
-                 "[pinscope] rep %d: legacy sweep %.2f ms, "
-                 "prefilter %.2f ms, cached %.2f ms\n",
-                 r + 1, legacy, off, on);
+    std::fprintf(stderr, "[pinscope] rep %d: uncached %.2f ms, cached %.2f ms\n",
+                 r + 1, off, on);
   }
-  if (pins_off != pins_on || pins_off != pins_legacy) {
+  if (pins_off != pins_on) {
     std::fprintf(stderr,
-                 "FATAL: scan variants disagree (%zu prefilter, %zu cached, "
-                 "%zu legacy pins)\n",
-                 pins_off, pins_on, pins_legacy);
+                 "FATAL: scan variants disagree (%zu uncached, %zu cached pins)\n",
+                 pins_off, pins_on);
     return 1;
   }
 
   const double speedup = best_on > 0.0 ? best_off / best_on : 0.0;
-  const double prefilter_speedup =
-      best_off > 0.0 ? best_legacy / best_off : 0.0;
   char json[1536];
   std::snprintf(
       json, sizeof(json),
@@ -190,14 +165,12 @@ int main() {
       "  \"cache_on_ms\": %.3f,\n"
       "  \"speedup\": %.2f,\n"
       "  \"pins_found\": %zu,\n"
-      "  \"prefilter\": {\"level\": \"%s\", \"legacy_sweep_ms\": %.3f,\n"
-      "                \"prefilter_ms\": %.3f, \"speedup\": %.2f},\n"
+      "  \"prefilter\": {\"level\": \"%s\"},\n"
       "  \"cache\": {\"lookups\": %zu, \"hits\": %zu, \"misses\": %zu,\n"
       "            \"entries\": %zu, \"bytes_deduped\": %zu, \"hit_rate\": %.4f},\n",
       apps, total_files, total_bytes, reps, best_off, best_on, speedup, pins_on,
-      scanner.prefilter().level_name(), best_legacy, best_off,
-      prefilter_speedup, stats.lookups, stats.hits, stats.misses, stats.entries,
-      stats.bytes_deduped, stats.HitRate());
+      scanner.prefilter().level_name(), stats.lookups, stats.hits,
+      stats.misses, stats.entries, stats.bytes_deduped, stats.HitRate());
 
   return bench::WriteBenchJsonWithPhases("BENCH_static_scan.json", json,
                                          registry.Snapshot());

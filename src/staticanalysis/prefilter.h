@@ -1,14 +1,12 @@
 // SIMD multi-literal scan prefilter (the Teddy/memchr-style batch sweep).
 //
-// The scanner used to sweep each artifact once per pattern: one
-// std::string_view::find pass for the PEM BEGIN marker, another for the pin
-// regex's mandatory literal (Regex::required_literal()). This class batches
-// the mandatory literals of *all* compiled rules into a single pass: a
-// vectorized candidate filter over 2-byte probes marks the few positions
-// where any literal could occur, and an exact memcmp confirms which rule(s)
-// actually begin there. One traversal of the haystack replaces k traversals,
-// and the candidate filter runs 16 (SSE2) or 32 (AVX2) subject positions per
-// instruction.
+// The scanner has two content rules, each with a mandatory literal: the PEM
+// BEGIN marker, and `sha`, the head of every pin-rule match. This class finds
+// the literals of all rules in a single pass: a vectorized candidate filter
+// over 2-byte probes marks the few positions where any literal could occur,
+// and an exact memcmp confirms which rule(s) actually begin there. One
+// traversal of the haystack replaces k traversals, and the candidate filter
+// runs 16 (SSE2) or 32 (AVX2) subject positions per instruction.
 //
 // Each literal's probe pair is chosen at the lowest-noise offset *inside*
 // the literal, not blindly at its head: "-----BEGIN CERTIFICATE-----" would
@@ -105,13 +103,13 @@ struct PrintableRun {
   bool operator==(const PrintableRun&) const = default;
 };
 
-/// Vectorized replacement for the scanner's printable-run byte loop
-/// (ForEachPrintableRun): classifies 16/32 bytes per instruction into a
-/// printable bitmask and walks its transitions. Clears `out` and fills it
-/// with every maximal run of printable bytes (0x20..0x7e) of at least
-/// `min_len`, in order — exactly the runs the scalar loop visits. `level`
-/// picks the kernel (pass crypto::cpu::DetectSimdLevel(), or kPortable to
-/// force the scalar reference).
+/// The scanner's printable-run extraction for binary files (radare2's
+/// strings): classifies 16/32 bytes per instruction into a printable bitmask
+/// and walks its transitions. Clears `out` and fills it with every maximal
+/// run of printable bytes (0x20..0x7e) of at least `min_len`, in order —
+/// exactly the runs a byte-at-a-time loop visits. `level` picks the kernel
+/// (pass crypto::cpu::DetectSimdLevel(), or kPortable to force the scalar
+/// loop).
 void FindPrintableRuns(std::string_view data, std::size_t min_len,
                        crypto::cpu::SimdLevel level,
                        std::vector<PrintableRun>& out);

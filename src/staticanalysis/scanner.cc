@@ -1,6 +1,7 @@
 #include "staticanalysis/scanner.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <array>
 
 #include "staticanalysis/scan_cache.h"
 #include "util/strings.h"
@@ -10,15 +11,47 @@ namespace pinscope::staticanalysis {
 
 namespace {
 
-// Minimum printable-run length treated as a "string" in binary files (the
-// default ExtractStrings threshold; the zero-copy path must agree with it).
+// Minimum printable-run length treated as a "string" in binary files.
 constexpr std::size_t kMinStringLen = 6;
 
 // Prefilter pattern indices (construction order in Scanner()).
 constexpr std::uint32_t kPemPattern = 0;
-constexpr std::uint32_t kPinPattern = 1;
+
+// kPinRule's pieces: the two heads share the prefilter literal `sha`, and
+// the body class [a-zA-Z0-9+/=] repeats {28,64} times.
+constexpr std::string_view kPinHead = "sha";
+constexpr std::size_t kPinBodyMin = 28;
+constexpr std::size_t kPinBodyMax = 64;
+constexpr std::array<bool, 256> kPinBodyClass = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    table[static_cast<std::size_t>(c)] =
+        (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+        (c >= '0' && c <= '9') || c == '+' || c == '/' || c == '=';
+  }
+  return table;
+}();
 
 }  // namespace
+
+std::size_t PinMatchLength(std::string_view text, std::size_t pos) {
+  if (pos > text.size()) return 0;
+  const std::string_view rest = text.substr(pos);
+  std::size_t head = 0;
+  if (rest.starts_with("sha1/")) {
+    head = 5;
+  } else if (rest.starts_with("sha256/")) {
+    head = 7;
+  } else {
+    return 0;
+  }
+  const std::size_t limit = std::min(rest.size(), head + kPinBodyMax);
+  std::size_t end = head;
+  while (end < limit && kPinBodyClass[static_cast<unsigned char>(rest[end])]) {
+    ++end;
+  }
+  return end - head >= kPinBodyMin ? end : 0;
+}
 
 bool ScanResult::HasPinningEvidence() const {
   if (!certificates.empty()) return true;
@@ -26,21 +59,6 @@ bool ScanResult::HasPinningEvidence() const {
     if (pin.parsed.has_value()) return true;
   }
   return false;
-}
-
-void ExtractStrings(const util::Bytes& data, std::size_t min_len,
-                    std::vector<std::string>& out) {
-  out.clear();
-  out.reserve(std::max<std::size_t>(out.capacity(), data.size() / 128 + 1));
-  ForEachPrintableRun(data, min_len,
-                      [&](std::string_view run) { out.emplace_back(run); });
-}
-
-std::vector<std::string> ExtractStrings(const util::Bytes& data,
-                                        std::size_t min_len) {
-  std::vector<std::string> out;
-  ExtractStrings(data, min_len, out);
-  return out;
 }
 
 const std::vector<std::string>& CertFileSuffixes() {
@@ -105,55 +123,26 @@ void AppendOwned(CachedFileScan&& scan, const std::string& path, ScanResult& out
 }  // namespace
 
 Scanner::Scanner()
-    : pin_pattern_("sha(1|256)/[a-zA-Z0-9+/=]{28,64}"),
-      prefilter_({std::string(x509::kPemBegin),
-                  pin_pattern_.required_literal().literal}) {
-  // One batched sweep needs a usable anchor for every rule; without one (or
-  // with the kill-switch set) content scanning stays on the per-pattern
-  // sweep. Decided at construction so tests can toggle via setenv.
-  use_prefilter_ = !pin_pattern_.required_literal().literal.empty() &&
-                   std::getenv("PINSCOPE_NO_PREFILTER") == nullptr;
-}
+    : prefilter_({std::string(x509::kPemBegin), std::string(kPinHead)}) {}
 
-// Legacy two-sweep content scan: one PemDecodeAll pass for certificates, one
-// FindAll pass for pins. Kept as the prefilter's reference implementation
-// (and its kill-switch fallback) — the two must agree byte-for-byte.
-void Scanner::ScanContentLegacy(std::string_view text, std::size_t base_offset,
-                                CachedFileScan& out) const {
-  // PEM blobs anywhere in the content.
-  for (x509::Certificate& cert : x509::PemDecodeAll(text)) {
-    out.certificates.push_back({std::string(), std::move(cert), true});
-  }
-  // Pin hashes by regex. The recorded offset is absolute within the file —
-  // content-derived evidence the decision journal can point at.
-  for (RegexMatch& m : pin_pattern_.FindAll(text)) {
-    FoundPin pin;
-    pin.pin_string = std::move(m.text);
-    pin.parsed = tls::Pin::FromPinString(pin.pin_string);
-    pin.offset = base_offset + m.position;
-    out.pins.push_back(std::move(pin));
-  }
-}
-
-// Consumes the prefilter hits that fall inside `text`, which starts at
-// absolute offset `rebase` of the swept buffer (0 when `text` itself was
-// swept). Every PEM BEGIN marker and every pin-anchor occurrence arrives in
-// one position-ordered stream, consumed by two independent cursors.
-// Certificates and pins still land in their own vectors, so the output is
-// byte-identical to the legacy two-sweep path.
+// Consumes the prefilter hits that fall inside `text`, which starts at byte
+// `base` of the swept file (0 when `text` is the whole file). Every PEM BEGIN
+// marker and every `sha` arrives in one position-ordered stream, consumed by
+// two independent cursors; certificates and pins land in their own vectors.
 void Scanner::ConsumeHits(const PrefilterHit* begin, const PrefilterHit* end,
-                          std::string_view text, std::size_t rebase,
-                          std::size_t base_offset, CachedFileScan& out) const {
-  const LiteralAnchor& anchor = pin_pattern_.required_literal();
+                          std::string_view text, std::size_t base,
+                          CachedFileScan& out) const {
   // PEM cursor: everything before `pem_resume` is inside an already-decoded
   // block (PemDecodeAll's skip-inside-body rule).
   std::size_t pem_resume = 0;
-  // Pin cursor: replicates Regex::FindAll's anchor sweep. `pin_pos` is the
-  // earliest position a (non-overlapping) match may still start.
-  std::size_t pin_pos = 0;
+  // Pin cursor: matches are leftmost-longest and non-overlapping, so none
+  // starts before the end of the last one — a `sha256/` inside a pin body
+  // is part of that pin. A match can only start at a `sha`, so trying each
+  // hit past the cursor finds every match a try-every-position sweep would.
+  std::size_t pin_resume = 0;
 
   for (const PrefilterHit* it = begin; it != end; ++it) {
-    const std::size_t pos = it->pos - rebase;  // text-relative
+    const std::size_t pos = it->pos - base;  // text-relative
     if (it->pattern == kPemPattern) {
       if (pos < pem_resume) continue;
       if (auto cert = x509::PemDecodeAt(text, pos, &pem_resume)) {
@@ -161,46 +150,18 @@ void Scanner::ConsumeHits(const PrefilterHit* begin, const PrefilterHit* end,
       }
       continue;
     }
-    // Pin-anchor occurrence at q = pos. FindAll would consider it only as
-    // the first occurrence at or after pin_pos + min_offset; earlier
-    // occurrences were already consumed or ruled out.
-    const std::size_t q = pos;
-    if (q < pin_pos + anchor.min_offset) continue;
-    // Anchor fast-forward: match starts before q - max_offset cannot reach
-    // this occurrence (and no earlier occurrence remains).
-    if (anchor.bounded() && q > anchor.max_offset &&
-        pin_pos < q - anchor.max_offset) {
-      pin_pos = q - anchor.max_offset;
-    }
-    // Try every candidate start this occurrence admits, exactly as the
-    // anchor sweep does: MatchAt, then advance by the match length
-    // (non-overlapping, leftmost-greedy) or one byte on failure.
-    while (pin_pos + anchor.min_offset <= q && pin_pos <= text.size()) {
-      std::size_t len = 0;
-      if (pin_pattern_.MatchAt(text, pin_pos, &len)) {
-        FoundPin pin;
-        pin.pin_string = std::string(text.substr(pin_pos, len));
-        pin.parsed = tls::Pin::FromPinString(pin.pin_string);
-        pin.offset = base_offset + pin_pos;
-        out.pins.push_back(std::move(pin));
-        pin_pos += len == 0 ? 1 : len;
-      } else {
-        ++pin_pos;
-      }
-    }
+    if (pos < pin_resume) continue;
+    const std::size_t len = PinMatchLength(text, pos);
+    if (len == 0) continue;
+    FoundPin pin;
+    pin.pin_string = std::string(text.substr(pos, len));
+    pin.parsed = tls::Pin::FromPinString(pin.pin_string);
+    // Absolute within the file: content-derived evidence the decision
+    // journal can point at.
+    pin.offset = it->pos;
+    out.pins.push_back(std::move(pin));
+    pin_resume = pos + len;
   }
-}
-
-void Scanner::ScanContent(std::string_view text, std::size_t base_offset,
-                          CachedFileScan& out) const {
-  if (!use_prefilter_) {
-    ScanContentLegacy(text, base_offset, out);
-    return;
-  }
-  thread_local std::vector<PrefilterHit> hits;
-  prefilter_.FindAll(text, hits);
-  ConsumeHits(hits.data(), hits.data() + hits.size(), text, 0, base_offset,
-              out);
 }
 
 void Scanner::ScanFile(const util::Bytes& content, bool is_cert_file,
@@ -220,33 +181,27 @@ void Scanner::ScanFile(const util::Bytes& content, bool is_cert_file,
     // Unparseable cert file: fall through to content scanning.
   }
 
-  // (b)+(c) Content scanning; binaries reduce to printable runs first. Run
-  // views alias `content`, so pointer arithmetic recovers each run's offset.
+  // (b)+(c) Content scanning: one prefilter sweep over the whole file;
+  // binaries then confine each rule to the printable run it starts in.
+  thread_local std::vector<PrefilterHit> hits;
+  prefilter_.FindAll(text, hits);
   if (LooksBinary(content)) {
-    if (use_prefilter_) {
-      ScanBinaryPrefiltered(text, out);
-      return;
-    }
-    ForEachPrintableRun(content, kMinStringLen, [&](std::string_view run) {
-      ScanContent(run, static_cast<std::size_t>(run.data() - text.data()), out);
-    });
+    ScanBinaryPrefiltered(text, hits, out);
   } else {
-    ScanContent(text, 0, out);
+    ConsumeHits(hits.data(), hits.data() + hits.size(), text, 0, out);
   }
 }
 
-// Binary fast path: ONE prefilter sweep over the raw bytes plus one
-// vectorized printable-run classification, instead of a per-run sweep pair.
-// Equivalent to scanning each printable run separately: every literal is
-// printable ASCII, so an occurrence in the raw bytes lies entirely inside a
-// maximal printable run — hits are just partitioned by run, and hits inside
-// disqualified (< kMinStringLen) runs are dropped, exactly as the per-run
-// walk never sees them. MatchAt runs against the run view, so matches still
-// cannot cross a run boundary.
+// Binary files: the raw-byte sweep's hits plus one vectorized printable-run
+// classification, equivalent to scanning each printable run on its own.
+// Every literal is printable ASCII, so an occurrence in the raw bytes lies
+// entirely inside a maximal printable run — hits are just partitioned by
+// run, and hits inside disqualified (< kMinStringLen) runs are dropped.
+// ConsumeHits sees only the run's view, so a match still cannot cross a run
+// boundary.
 void Scanner::ScanBinaryPrefiltered(std::string_view text,
+                                    const std::vector<PrefilterHit>& hits,
                                     CachedFileScan& out) const {
-  thread_local std::vector<PrefilterHit> hits;
-  prefilter_.FindAll(text, hits);
   thread_local std::vector<PrintableRun> runs;
   FindPrintableRuns(text, kMinStringLen, prefilter_.level(), runs);
 
@@ -259,7 +214,7 @@ void Scanner::ScanBinaryPrefiltered(std::string_view text,
     while (run_end != end && run_end->pos < run.offset + run.length) ++run_end;
     if (it != run_end) {
       ConsumeHits(it, run_end, text.substr(run.offset, run.length), run.offset,
-                  run.offset, out);
+                  out);
       it = run_end;
     }
   }

@@ -2,17 +2,18 @@
 //
 // Walks an app's file tree looking for (a) certificate files by extension,
 // (b) PEM blobs by their BEGIN delimiter, and (c) SPKI pin hashes via the
-// paper's regex sha(1|256)/[a-zA-Z0-9+/=]{28,64}. Binary files (native libs,
-// executables) are first reduced to their printable string runs, like
-// radare2's string extraction.
+// paper's one pin rule, kPinRule. Binary files (native libs, executables)
+// are first reduced to their printable string runs, like radare2's string
+// extraction.
 //
 // The scan inner loop is zero-copy and single-pass: file contents are viewed
 // as std::string_view over the package's own bytes (no per-file string
-// copies), and binary files yield printable runs through ForEachPrintableRun
-// instead of materializing a vector of strings. With a ScanCache (see
-// scan_cache.h) attached, files whose content was already scanned anywhere
-// in the corpus replay their cached outcome instead of being rescanned —
-// shared SDK artifacts are scanned once per study, not once per app.
+// copies), one prefilter sweep finds every PEM marker and every `sha`, and
+// PinMatchLength confirms a pin at each `sha` without backtracking. With a
+// ScanCache (see scan_cache.h) attached, files whose content was already
+// scanned anywhere in the corpus replay their cached outcome instead of being
+// rescanned — shared SDK artifacts are scanned once per study, not once per
+// app.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include "appmodel/package.h"
 #include "obs/metrics.h"
 #include "staticanalysis/prefilter.h"
-#include "staticanalysis/regex.h"
 #include "tls/pinning.h"
 #include "x509/certificate.h"
 
@@ -78,44 +78,16 @@ struct ScanResult {
   [[nodiscard]] bool HasPinningEvidence() const;
 };
 
-/// Calls `fn(std::string_view)` for every printable-ASCII run of at least
-/// `min_len` bytes in `data`. The views alias `data` — no copies are made —
-/// so they are valid only for the duration of the callback. This is the
-/// scanner's fast path for binary files; ExtractStrings is the materializing
-/// wrapper kept for callers that want owned strings.
-template <typename Fn>
-void ForEachPrintableRun(const util::Bytes& data, std::size_t min_len, Fn&& fn) {
-  const char* base = reinterpret_cast<const char*>(data.data());
-  const std::size_t n = data.size();
-  std::size_t run_start = 0;
-  bool in_run = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool printable = data[i] >= 0x20 && data[i] <= 0x7e;
-    if (printable) {
-      if (!in_run) {
-        run_start = i;
-        in_run = true;
-      }
-    } else if (in_run) {
-      if (i - run_start >= min_len) fn(std::string_view(base + run_start, i - run_start));
-      in_run = false;
-    }
-  }
-  if (in_run && n - run_start >= min_len) {
-    fn(std::string_view(base + run_start, n - run_start));
-  }
-}
+/// The paper's pin rule (§4.1.2), verbatim. It is quoted in every
+/// static.pin_found journal event; PinMatchLength is its matcher.
+inline constexpr std::string_view kPinRule = "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
 
-/// Extracts printable ASCII runs of at least `min_len` characters from a
-/// binary blob (radare2-equivalent string extraction).
-[[nodiscard]] std::vector<std::string> ExtractStrings(const util::Bytes& data,
-                                                      std::size_t min_len = 6);
-
-/// As above, but refills `out` (clearing it first) so a caller looping over
-/// many files reuses one scratch vector's capacity instead of reallocating
-/// per file.
-void ExtractStrings(const util::Bytes& data, std::size_t min_len,
-                    std::vector<std::string>& out);
+/// Length of the longest kPinRule match that starts exactly at `text[pos]`,
+/// or 0 when none does (a match is at least 33 bytes). The heads `sha1/` and
+/// `sha256/` differ at their fourth byte, so at most one applies, and the
+/// body is the run of [a-zA-Z0-9+/=] bytes after it, capped at 64: the
+/// match is min(run, 64) body bytes when the run reaches 28.
+[[nodiscard]] std::size_t PinMatchLength(std::string_view text, std::size_t pos);
 
 /// The certificate-file extensions §4.1.2 searches for.
 [[nodiscard]] const std::vector<std::string>& CertFileSuffixes();
@@ -124,8 +96,7 @@ void ExtractStrings(const util::Bytes& data, std::size_t min_len,
 /// case-insensitively without copying or lowercasing the path.
 [[nodiscard]] bool HasCertFileSuffix(std::string_view path);
 
-/// Package scanner. Construct once; the pin regex is compiled at
-/// construction.
+/// Package scanner. Construct once; the prefilter is built at construction.
 class Scanner {
  public:
   Scanner();
@@ -141,35 +112,23 @@ class Scanner {
                                 ScanCache* cache = nullptr,
                                 obs::MetricsRegistry* metrics = nullptr) const;
 
-  /// The compiled pin-hash pattern (exposed for tests and benchmarks).
-  [[nodiscard]] const Regex& pin_pattern() const { return pin_pattern_; }
-
-  /// The batched literal sweep shared by all rules (tests and benchmarks).
+  /// The one literal sweep behind both rules: literal 0 is the PEM BEGIN
+  /// marker, literal 1 the pin rule's `sha` (tests and benchmarks).
   [[nodiscard]] const MultiLiteralPrefilter& prefilter() const {
     return prefilter_;
   }
 
-  /// True when content scanning uses the single-pass multi-literal
-  /// prefilter; false on the legacy per-pattern sweep (PINSCOPE_NO_PREFILTER
-  /// set at construction, or the pin pattern yielded no usable anchor).
-  /// Either way the results are byte-identical.
-  [[nodiscard]] bool prefilter_enabled() const { return use_prefilter_; }
-
  private:
-  void ScanContent(std::string_view text, std::size_t base_offset,
-                   CachedFileScan& out) const;
-  void ScanContentLegacy(std::string_view text, std::size_t base_offset,
-                         CachedFileScan& out) const;
   void ConsumeHits(const PrefilterHit* begin, const PrefilterHit* end,
-                   std::string_view text, std::size_t rebase,
-                   std::size_t base_offset, CachedFileScan& out) const;
-  void ScanBinaryPrefiltered(std::string_view text, CachedFileScan& out) const;
+                   std::string_view text, std::size_t base,
+                   CachedFileScan& out) const;
+  void ScanBinaryPrefiltered(std::string_view text,
+                             const std::vector<PrefilterHit>& hits,
+                             CachedFileScan& out) const;
   void ScanFile(const util::Bytes& content, bool is_cert_file,
                 CachedFileScan& out) const;
 
-  Regex pin_pattern_;
-  MultiLiteralPrefilter prefilter_;  ///< [0]=PEM BEGIN, [1]=pin anchor.
-  bool use_prefilter_ = false;
+  MultiLiteralPrefilter prefilter_;
 };
 
 }  // namespace pinscope::staticanalysis

@@ -26,10 +26,6 @@ std::vector<std::string> StaticReport::EvidencePaths() const {
 
 namespace {
 
-// The scanner's pin-hash pattern, quoted verbatim in static.pin_found events
-// so the journal names the rule that fired.
-constexpr std::string_view kPinRule = "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
-
 // Decision events for the static layer, derived from the finished report so
 // they are identical with the scan cache on or off (DESIGN.md §12). Without
 // a journal there is nothing to number, so the per-pin field vectors are not
@@ -99,7 +95,7 @@ StaticReport AnalyzeStatically(const appmodel::App& app,
   report.app_id = app.meta.app_id;
   report.platform = app.meta.platform;
 
-  static const Scanner scanner;  // stateless; the pin regex compiles once
+  static const Scanner scanner;  // stateless; its prefilter is built once
 
   const obs::Span span = obs::SpanFor(options.observer, "static.scan", "phase",
                                       {{"app", app.meta.app_id}});

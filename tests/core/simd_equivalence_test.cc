@@ -6,8 +6,7 @@
 //   (a) the JSON and CSV dataset exports,
 //   (b) the decision-journal JSONL (full kDebug fidelity), and
 //   (c) the run-report Markdown + JSON,
-// byte for byte — and so must a study with the prefilter disabled. The
-// PINSCOPE_NO_SIMD / PINSCOPE_NO_PREFILTER knobs are read at scanner
+// byte for byte. The PINSCOPE_NO_SIMD knob is read at prefilter
 // construction, so each study builds fresh scanners under the scoped
 // environment; a level assertion guards against a vacuous comparison (the
 // "forced" side silently running the same kernel).
@@ -41,7 +40,7 @@ class ScopedEnv {
 };
 
 /// The golden-digest text of one study at `threads`, scanned under
-/// whatever SIMD / prefilter knobs are set right now.
+/// whatever SIMD knobs are set right now.
 std::string RunDigests(const store::Ecosystem& eco, int threads) {
   StudyOptions opts;
   opts.threads = threads;
@@ -66,14 +65,6 @@ TEST_P(SimdEquivalenceTest, SimdAndPortableScansExportIdenticalBytes) {
     ASSERT_EQ(probe.level(), crypto::cpu::SimdLevel::kPortable);
     EXPECT_EQ(golden, RunDigests(eco, threads));
   }
-}
-
-TEST_P(SimdEquivalenceTest, DisablingThePrefilterEntirelyChangesNoByte) {
-  // Stronger than kernel equivalence: the legacy per-pattern anchor sweep
-  // (no prefilter at all) must reproduce the golden digests too.
-  const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(GetParam());
-  const ScopedEnv no_prefilter("PINSCOPE_NO_PREFILTER");
-  EXPECT_EQ(pinscope::testing::ReadStudyGolden(GetParam()), RunDigests(eco, 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdEquivalenceTest,

@@ -2,7 +2,9 @@
 // over random haystacks × literal sets, the documented (pos, pattern) hit
 // ordering, overlapping occurrences, and SIMD-vs-forced-portable
 // equivalence via the PINSCOPE_NO_SIMD / PINSCOPE_NO_AVX2 env knobs (read
-// at construction, so each test builds fresh filters after setenv).
+// at construction, so each test builds fresh filters after setenv). Then
+// FindPrintableRuns at every tier against a scalar loop, and the scanner
+// built on both against its test-local reference scan.
 #include "staticanalysis/prefilter.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 
 #include "crypto/cpu.h"
 #include "staticanalysis/scanner.h"
+#include "testing/pin_reference.h"
 #include "x509/issuer.h"
 #include "x509/pem.h"
 
@@ -169,7 +172,75 @@ TEST(PrefilterTest, NoAvx2KnobCapsLevelAtSse2) {
 #endif
 }
 
-// --- Scanner-level equivalence: prefiltered vs legacy two-sweep path ------
+// --- Printable runs: every kernel tier against a scalar loop ---------------
+
+// The tiers this host can run: the detected one and every one below it.
+std::vector<crypto::cpu::SimdLevel> RunnableLevels() {
+  std::vector<crypto::cpu::SimdLevel> levels;
+  const crypto::cpu::SimdLevel best = crypto::cpu::DetectSimdLevel();
+  for (const crypto::cpu::SimdLevel level :
+       {crypto::cpu::SimdLevel::kAvx2, crypto::cpu::SimdLevel::kSse2,
+        crypto::cpu::SimdLevel::kPortable}) {
+    if (level >= best) levels.push_back(level);
+  }
+  return levels;
+}
+
+void ExpectRunsMatchScalar(std::string_view data, const std::string& what) {
+  for (const std::size_t min_len : {1u, 6u, 40u}) {
+    const std::vector<PrintableRun> want =
+        pinscope::testing::ScalarPrintableRuns(data, min_len);
+    for (const crypto::cpu::SimdLevel level : RunnableLevels()) {
+      std::vector<PrintableRun> got = {{99, 99}};  // cleared by the call
+      FindPrintableRuns(data, min_len, level, got);
+      EXPECT_EQ(got, want) << what << " min_len=" << min_len << " level "
+                           << crypto::cpu::SimdLevelName(level);
+    }
+  }
+}
+
+TEST(PrintableRunsTest, EveryTierMatchesTheScalarLoop) {
+  std::mt19937 rng(0x7275);
+  std::uniform_int_distribution<int> printable(0x20, 0x7e);
+  std::uniform_int_distribution<int> any_byte(0, 255);
+  std::uniform_int_distribution<std::size_t> len_dist(0, 300);
+  // Run edges just before, at and after the 16- and 32-byte block borders.
+  const std::size_t edges[] = {15, 16, 17, 31, 32, 33};
+
+  for (int round = 0; round < 300; ++round) {
+    std::string blob(len_dist(rng) + 140, '\0');
+    for (char& c : blob) c = static_cast<char>(any_byte(rng));
+    const auto fill = [&](std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; ++i) blob[i] = static_cast<char>(printable(rng));
+    };
+    // One run from an edge offset to an edge offset one or two blocks on.
+    const std::size_t from = edges[round % 6];
+    const std::size_t to = edges[(round / 6) % 6] + 32 * (1 + round % 2);
+    fill(from, to);
+    blob[from - 1] = '\x01';
+    blob[to] = '\x01';
+    if (round % 3 == 1) fill(0, from - 1);  // a run touching the start
+    if (round % 3 == 2) fill(blob.size() - from, blob.size());  // and the end
+    ExpectRunsMatchScalar(blob, "round " + std::to_string(round));
+  }
+}
+
+TEST(PrintableRunsTest, RunsThatFillOrTouchTheBlob) {
+  for (const std::size_t n : {0u, 1u, 5u, 6u, 15u, 16u, 17u, 31u, 32u, 33u, 40u, 97u}) {
+    const std::string all(n, 'p');
+    ExpectRunsMatchScalar(all, "all printable n=" + std::to_string(n));
+    ExpectRunsMatchScalar(std::string(n, '\x01'), "none printable n=" + std::to_string(n));
+    for (const std::size_t edge : {15u, 16u, 17u, 31u, 32u, 33u}) {
+      // A run that ends the blob, and one that starts it.
+      ExpectRunsMatchScalar(std::string(edge, '\xff') + all,
+                            "tail run at " + std::to_string(edge));
+      ExpectRunsMatchScalar(all + std::string(edge, '\0'),
+                            "head run of " + std::to_string(n));
+    }
+  }
+}
+
+// --- Scanner against the test-local reference scan ------------------------
 
 x509::Certificate ScanTestCert(const std::string& cn) {
   x509::IssueSpec spec;
@@ -177,26 +248,12 @@ x509::Certificate ScanTestCert(const std::string& cn) {
   return x509::CertificateIssuer::SelfSignedLeaf("prefilter:" + cn, spec);
 }
 
-void ExpectSameScan(const ScanResult& a, const ScanResult& b) {
-  ASSERT_EQ(a.certificates.size(), b.certificates.size());
-  for (std::size_t i = 0; i < a.certificates.size(); ++i) {
-    EXPECT_EQ(a.certificates[i].path, b.certificates[i].path);
-    EXPECT_EQ(a.certificates[i].cert, b.certificates[i].cert);
-    EXPECT_EQ(a.certificates[i].from_pem, b.certificates[i].from_pem);
-  }
-  ASSERT_EQ(a.pins.size(), b.pins.size());
-  for (std::size_t i = 0; i < a.pins.size(); ++i) {
-    EXPECT_EQ(a.pins[i].path, b.pins[i].path);
-    EXPECT_EQ(a.pins[i].pin_string, b.pins[i].pin_string);
-    EXPECT_EQ(a.pins[i].offset, b.pins[i].offset);
-    EXPECT_EQ(a.pins[i].parsed.has_value(), b.pins[i].parsed.has_value());
-  }
-}
-
 TEST(PrefilterTest, ScannerPrefilterMatchesLegacySweep) {
   // A package exercising every scan shape at once: PEM bundles (with a
   // decoy BEGIN inside a body region), pins in text and binary files,
-  // truncated PEM armor, and near-miss pin strings.
+  // truncated PEM armor, and near-miss pin strings. The reference is the
+  // two-sweep scan: PemDecodeAll, then the brute-force pin search, per
+  // printable run in binaries.
   const x509::Certificate c1 = ScanTestCert("one.example.com");
   const x509::Certificate c2 = ScanTestCert("two.example.com");
   const std::string pin =
@@ -217,18 +274,11 @@ TEST(PrefilterTest, ScannerPrefilterMatchesLegacySweep) {
   blob.push_back(0x00);
   files.Add("lib/libnative.so", blob);
 
-  const Scanner fast;
-  const ScanResult with_prefilter = fast.Scan(files);
-  EXPECT_TRUE(fast.prefilter_enabled());
-  {
-    const ScopedEnv no_prefilter("PINSCOPE_NO_PREFILTER");
-    const Scanner legacy;
-    EXPECT_FALSE(legacy.prefilter_enabled());
-    ExpectSameScan(with_prefilter, legacy.Scan(files));
-  }
+  const ScanResult scanned = Scanner().Scan(files);
+  pinscope::testing::ExpectSameScan(scanned, pinscope::testing::ReferenceScan(files));
   // Sanity: the corpus produced real findings.
-  EXPECT_EQ(with_prefilter.certificates.size(), 2u);
-  GTEST_ASSERT_GE(with_prefilter.pins.size(), 1u);
+  EXPECT_EQ(scanned.certificates.size(), 2u);
+  GTEST_ASSERT_GE(scanned.pins.size(), 1u);
 }
 
 TEST(PrefilterTest, ScannerFuzzPrefilterMatchesLegacy) {
@@ -240,18 +290,15 @@ TEST(PrefilterTest, ScannerFuzzPrefilterMatchesLegacy) {
   std::uniform_int_distribution<std::size_t> piece(0, std::size(pieces) - 1);
   std::uniform_int_distribution<std::size_t> count(0, 60);
 
+  const Scanner scanner;
   for (int round = 0; round < 40; ++round) {
     std::string content;
     const std::size_t n = count(rng);
     for (std::size_t i = 0; i < n; ++i) content += pieces[piece(rng)];
     appmodel::PackageFiles files;
     files.AddText("assets/fuzz.txt", content);
-
-    const Scanner fast;
-    const ScanResult a = fast.Scan(files);
-    const ScopedEnv no_prefilter("PINSCOPE_NO_PREFILTER");
-    const Scanner legacy;
-    ExpectSameScan(a, legacy.Scan(files));
+    pinscope::testing::ExpectSameScan(scanner.Scan(files),
+                                      pinscope::testing::ReferenceScan(files));
   }
 }
 

@@ -20,23 +20,6 @@ std::string TestPinString(const x509::Certificate& cert) {
   return tls::Pin::ForCertificate(cert, tls::PinForm::kSpkiSha256).ToPinString();
 }
 
-TEST(ExtractStringsTest, FindsPrintableRuns) {
-  util::Bytes blob = {0x01, 0x02};
-  util::Append(blob, "hello-world-string");
-  blob.push_back(0x00);
-  blob.push_back(0x03);
-  util::Append(blob, "tiny");  // below the default minimum length
-  const auto strings = ExtractStrings(blob);
-  ASSERT_EQ(strings.size(), 1u);
-  EXPECT_EQ(strings[0], "hello-world-string");
-}
-
-TEST(ExtractStringsTest, RespectsMinimumLength) {
-  util::Bytes blob = util::ToBytes("abc");
-  EXPECT_TRUE(ExtractStrings(blob, 4).empty());
-  EXPECT_EQ(ExtractStrings(blob, 3).size(), 1u);
-}
-
 TEST(ScannerTest, FindsPemCertificateInTextAsset) {
   const x509::Certificate cert = TestCert("pem.scan.com");
   appmodel::PackageFiles files;
