@@ -111,8 +111,8 @@ int main() {
 
   PassResult off_result, on_result;
   double best_off = 0.0, best_on = 0.0;
-  net::ForgedLeafCacheStats forged;
-  x509::ValidationCacheStats validation;
+  util::MemoStats forged;
+  util::MemoStats validation;
   // Collects the pipeline's per-phase histograms across the fixtures-on
   // passes; embedded into the JSON below as the "phases" breakdown.
   obs::Observer observer;
@@ -125,8 +125,8 @@ int main() {
     if (r == 0 || off < best_off) best_off = off;
     if (r == 0 || on < best_on) {
       best_on = on;
-      forged = fixtures->forged_cache_stats();
-      validation = fixtures->validation_cache_stats();
+      forged = fixtures->proxy().forged_cache()->Stats();
+      validation = fixtures->validation_cache()->Stats();
     }
     std::fprintf(stderr, "[pinscope] rep %d: fixtures off %.2f ms, on %.2f ms\n",
                  r + 1, off, on);

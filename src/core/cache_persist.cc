@@ -13,6 +13,16 @@ void SetGauge(obs::Observer* observer, const char* name, std::uint64_t value) {
   }
 }
 
+void SetMemoGauges(obs::MetricsRegistry& metrics, const std::string& family,
+                   const util::MemoStats& stats) {
+  const std::string prefix = "cache." + family + ".";
+  metrics.gauge(prefix + "lookups").Set(stats.lookups);
+  metrics.gauge(prefix + "hits").Set(stats.hits);
+  metrics.gauge(prefix + "misses").Set(stats.misses);
+  metrics.gauge(prefix + "inserts").Set(stats.inserts);
+  metrics.gauge(prefix + "entries").Set(stats.entries);
+}
+
 }  // namespace
 
 std::string ScanCachePathFor(const std::string& cache_dir) {
@@ -73,26 +83,11 @@ void PublishCacheGauges(obs::Observer* observer,
                         const dynamicanalysis::SimFixtures* fixtures) {
   obs::MetricsRegistry* metrics = obs::MetricsOf(observer);
   if (metrics == nullptr) return;
-  if (scan_cache != nullptr) {
-    const staticanalysis::ScanCacheStats s = scan_cache->Stats();
-    metrics->gauge("cache.scan.lookups").Set(s.lookups);
-    metrics->gauge("cache.scan.hits").Set(s.hits);
-    metrics->gauge("cache.scan.misses").Set(s.misses);
-    metrics->gauge("cache.scan.entries").Set(s.entries);
-    metrics->gauge("cache.scan.bytes_deduped").Set(s.bytes_deduped);
-  }
+  if (scan_cache != nullptr) SetMemoGauges(*metrics, "scan", scan_cache->Stats());
   if (fixtures != nullptr) {
-    const net::ForgedLeafCacheStats f = fixtures->forged_cache_stats();
-    metrics->gauge("cache.forged_leaf.lookups").Set(f.lookups);
-    metrics->gauge("cache.forged_leaf.hits").Set(f.hits);
-    metrics->gauge("cache.forged_leaf.misses").Set(f.misses);
-    metrics->gauge("cache.forged_leaf.entries").Set(f.entries);
-    const x509::ValidationCacheStats v = fixtures->validation_cache_stats();
-    metrics->gauge("cache.validation.lookups").Set(v.lookups);
-    metrics->gauge("cache.validation.hits").Set(v.hits);
-    metrics->gauge("cache.validation.misses").Set(v.misses);
-    metrics->gauge("cache.validation.inserts").Set(v.inserts);
-    metrics->gauge("cache.validation.entries").Set(v.entries);
+    SetMemoGauges(*metrics, "forged_leaf",
+                  fixtures->proxy().forged_cache()->Stats());
+    SetMemoGauges(*metrics, "validation", fixtures->validation_cache()->Stats());
   }
 }
 

@@ -57,23 +57,13 @@ class SimFixtures {
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// Counters of the shared forged-leaf cache.
-  [[nodiscard]] net::ForgedLeafCacheStats forged_cache_stats() const {
-    return proxy_->ForgedCacheStats();
-  }
-
-  /// Counters of the shared validation memo.
-  [[nodiscard]] x509::ValidationCacheStats validation_cache_stats() const {
-    return validation_cache_->Stats();
-  }
-
   /// Binds both shared caches' shard locks to the `lock.forged_leaf_cache.*`
   /// and `lock.validation_cache.*` metric families (obs/mutex.h), which the
   /// run autopsy's lock-wait attribution consumes. Null-safe; call before
   /// the study fans out across workers.
   void AttachMetrics(obs::MetricsRegistry* metrics) const {
-    proxy_->forged_cache()->AttachMetrics(metrics);
-    validation_cache_->AttachMetrics(metrics);
+    proxy_->forged_cache()->AttachMetrics(metrics, "forged_leaf_cache");
+    validation_cache_->AttachMetrics(metrics, "validation_cache");
   }
 
  private:

@@ -3,104 +3,38 @@
 // mitmproxy keeps a per-process certificate cache so each SNI is forged
 // once; at study scale the same hostnames recur across *apps* (shared SDK
 // endpoints, CDNs), so pinscope hoists that cache to study scope: one
-// sharded hostname → forged-chain map shared by every app and worker
-// thread. This is sound because forged-leaf bytes are a pure function of
-// (CA label, study seed, hostname) — see MitmProxy, which derives issuance
-// randomness from a stable per-hostname fork instead of any caller stream —
-// so every would-be issuer deposits identical bytes.
-//
-// Thread safety & determinism mirror staticanalysis/scan_cache.h: per-shard
-// mutexes, first-insert-wins, shared_ptr entries so readers never copy a
-// chain.
+// hostname → forged-chain memo shared by every app and worker thread. This
+// is sound because forged-leaf bytes are a pure function of (CA label, study
+// seed, hostname) — see MitmProxy, which derives issuance randomness from a
+// stable per-hostname fork instead of any caller stream — so every would-be
+// issuer deposits identical bytes (util/sharded_memo.h). Entries are
+// shared_ptrs so readers never copy a chain.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
-#include "obs/mutex.h"
+#include "util/sharded_memo.h"
 #include "x509/certificate.h"
 
 namespace pinscope::net {
 
-/// Monotonic counters describing a cache's lifetime (snapshot).
-struct ForgedLeafCacheStats {
-  std::size_t lookups = 0;  ///< Interceptions that consulted the cache.
-  std::size_t hits = 0;     ///< Interceptions served a cached chain.
-  std::size_t misses = 0;   ///< Hostnames that had to be forged.
-  std::size_t entries = 0;  ///< Distinct hostnames stored.
-
-  [[nodiscard]] double HitRate() const {
-    return lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
+/// Transparent hostname hash: the memo is looked up by string_view without
+/// building a std::string.
+struct HostnameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
   }
 };
 
 /// Thread-safe, deterministic hostname → forged-chain map. One instance can
 /// be shared by every MitmProxy view of a study.
-class ForgedLeafCache {
- public:
-  explicit ForgedLeafCache(std::size_t shard_count = kDefaultShards);
-
-  ForgedLeafCache(const ForgedLeafCache&) = delete;
-  ForgedLeafCache& operator=(const ForgedLeafCache&) = delete;
-
-  /// Looks up the forged chain for `hostname`. Counts one lookup; nullptr on
-  /// miss.
-  [[nodiscard]] std::shared_ptr<const x509::CertificateChain> Find(
-      std::string_view hostname);
-
-  /// Deposits a forged chain (first insert wins) and returns the resident
-  /// entry — racing forgers all observe one canonical chain (their inputs
-  /// are identical, so so are their bytes).
-  std::shared_ptr<const x509::CertificateChain> Insert(
-      std::string_view hostname, x509::CertificateChain chain);
-
-  /// Counter snapshot (approximate while interceptions are in flight).
-  [[nodiscard]] ForgedLeafCacheStats Stats() const;
-
-  /// Binds every shard's lock to the `lock.<name>.contended` /
-  /// `lock.<name>.wait_us` family (obs/mutex.h) so the run autopsy's
-  /// idle-time attribution covers this cache. Null-safe; call before the
-  /// cache is shared across workers.
-  void AttachMetrics(obs::MetricsRegistry* metrics,
-                     std::string_view name = "forged_leaf_cache") {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      shards_[s].mu.Attach(metrics, name);
-    }
-  }
-
-  static constexpr std::size_t kDefaultShards = 16;
-
- private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  struct Shard {
-    obs::TrackedMutex mu;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const x509::CertificateChain>,
-                       StringHash, std::equal_to<>>
-        map;
-  };
-
-  Shard& ShardFor(std::string_view hostname) {
-    return shards_[StringHash{}(hostname) % shard_count_];
-  }
-
-  const std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-
-  std::atomic<std::size_t> lookups_{0};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> entries_{0};
-};
+using ForgedLeafCache =
+    util::ShardedMemo<std::string, std::shared_ptr<const x509::CertificateChain>,
+                      HostnameHash>;
 
 }  // namespace pinscope::net

@@ -35,7 +35,7 @@ const x509::Certificate& MitmProxy::CaCertificate() const {
 
 std::shared_ptr<const x509::CertificateChain> MitmProxy::ForgedChainFor(
     const std::string& hostname) const {
-  if (auto cached = forged_->Find(hostname)) return cached;
+  if (auto cached = forged_->Find(hostname)) return *cached;
 
   x509::IssueSpec spec;
   spec.subject.set_common_name(hostname);
@@ -45,11 +45,10 @@ std::shared_ptr<const x509::CertificateChain> MitmProxy::ForgedChainFor(
   spec.not_after = util::kStudyEpoch + util::kMillisPerYear;
   // The leaf key comes from a per-hostname fork of the proxy's base stream,
   // so the forged bytes are identical no matter which app, thread, or
-  // interception ordering triggers this miss — racing inserts below deposit
-  // the same chain and first-wins resolves them invisibly.
+  // interception ordering triggers this miss.
   util::Rng leaf_rng = leaf_rng_.Fork(hostname);
-  x509::CertificateChain forged = {ca_.Issue(spec, leaf_rng),
-                                   ca_.certificate()};
+  auto forged = std::make_shared<const x509::CertificateChain>(
+      x509::CertificateChain{ca_.Issue(spec, leaf_rng), ca_.certificate()});
   return forged_->Insert(hostname, std::move(forged));
 }
 

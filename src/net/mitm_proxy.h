@@ -71,14 +71,8 @@ class MitmProxy {
   [[nodiscard]] std::shared_ptr<const x509::CertificateChain> ForgedChainFor(
       const std::string& hostname) const;
 
-  /// Counters of the (possibly shared) forged-leaf cache.
-  [[nodiscard]] ForgedLeafCacheStats ForgedCacheStats() const {
-    return forged_->Stats();
-  }
-
-  /// The (possibly shared) forged-leaf cache itself — exposed so study-level
-  /// owners can bind its shard locks to contention metrics
-  /// (ForgedLeafCache::AttachMetrics).
+  /// The (possibly shared) forged-leaf cache — exposed so study-level owners
+  /// can read its counters and bind its shard locks to contention metrics.
   [[nodiscard]] ForgedLeafCache* forged_cache() const { return forged_.get(); }
 
  private:

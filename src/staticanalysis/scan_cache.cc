@@ -8,57 +8,13 @@
 
 namespace pinscope::staticanalysis {
 
-ScanCache::ScanCache(std::size_t shard_count)
-    : shard_count_(shard_count == 0 ? 1 : shard_count),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {}
-
 ScanCache::Key ScanCache::MakeKey(const util::Bytes& content, bool cert_file) {
   return Key{crypto::Sha256(content), cert_file};
 }
 
-std::shared_ptr<const CachedFileScan> ScanCache::Find(const Key& key,
-                                                      std::size_t content_size) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = ShardFor(key);
-  std::shared_ptr<const CachedFileScan> found;
-  {
-    std::lock_guard<obs::TrackedMutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) found = it->second;
-  }
-  if (found != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_deduped_.fetch_add(content_size, std::memory_order_relaxed);
-  }
-  return found;
-}
-
-std::shared_ptr<const CachedFileScan> ScanCache::Insert(const Key& key,
-                                                        CachedFileScan scan) {
-  auto entry = std::make_shared<const CachedFileScan>(std::move(scan));
-  Shard& shard = ShardFor(key);
-  std::lock_guard<obs::TrackedMutex> lock(shard.mu);
-  const auto [it, inserted] = shard.map.try_emplace(key, std::move(entry));
-  if (inserted) entries_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-std::size_t ScanCache::EntryCount() const {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::lock_guard<obs::TrackedMutex> lock(shards_[s].mu);
-    n += shards_[s].map.size();
-  }
-  return n;
-}
-
 bool ScanCache::SaveToFile(const std::string& path) const {
-  // Snapshot every shard, then order by key: equal caches ⇒ equal bytes.
-  std::vector<std::pair<Key, std::shared_ptr<const CachedFileScan>>> entries;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::lock_guard<obs::TrackedMutex> lock(shards_[s].mu);
-    for (const auto& [key, scan] : shards_[s].map) entries.emplace_back(key, scan);
-  }
+  // Order by key: equal caches ⇒ equal bytes.
+  auto entries = Entries();
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
     if (a.first.digest != b.first.digest) return a.first.digest < b.first.digest;
     return a.first.cert_file < b.first.cert_file;
@@ -99,7 +55,7 @@ bool ScanCache::LoadFromFile(const std::string& path) {
 
   util::ByteReader reader(*payload);
   const std::uint64_t count = reader.U64();
-  std::vector<std::pair<Key, CachedFileScan>> loaded;
+  std::vector<std::pair<Key, std::shared_ptr<const CachedFileScan>>> loaded;
   for (std::uint64_t i = 0; i < count && reader.ok(); ++i) {
     Key key;
     reader.Raw(key.digest.data(), key.digest.size());
@@ -132,23 +88,13 @@ bool ScanCache::LoadFromFile(const std::string& path) {
       }
       scan.pins.push_back(std::move(pin));
     }
-    loaded.emplace_back(std::move(key), std::move(scan));
+    loaded.emplace_back(key, std::make_shared<const CachedFileScan>(std::move(scan)));
   }
   if (!reader.ok() || !reader.AtEnd()) return false;
 
   // All-or-nothing: deposit only after the whole payload decoded cleanly.
   for (auto& [key, scan] : loaded) (void)Insert(key, std::move(scan));
   return true;
-}
-
-ScanCacheStats ScanCache::Stats() const {
-  ScanCacheStats stats;
-  stats.lookups = lookups_.load(std::memory_order_relaxed);
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = stats.lookups - stats.hits;
-  stats.entries = entries_.load(std::memory_order_relaxed);
-  stats.bytes_deduped = bytes_deduped_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace pinscope::staticanalysis

@@ -9,88 +9,57 @@
 // flag, so any given content is scanned once per study no matter how many
 // apps ship it.
 //
-// Thread safety & determinism: the map is sharded (per-shard mutex, shard
-// chosen by digest byte) so parallel per-app workers rarely contend.
-// Inserts are first-wins; a racing worker that scanned the same content
-// deposits an *identical* outcome (the scan is a pure function of the key),
-// so which insert lands is unobservable. Cached entries store no paths —
-// the scanner rebinds paths on every hit — which is why cached and uncached
-// studies export byte-identical results (see DESIGN.md §9 and the
-// `ctest -L static` equivalence suite).
+// The scan is a pure function of that key, so the shared memo's policy
+// (util/sharded_memo.h) makes residency unobservable. Cached entries store
+// no paths — the scanner rebinds paths on every hit — which is why cached
+// and uncached studies export byte-identical results (see DESIGN.md §9 and
+// the `ctest -L static` equivalence suite).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-
-#include "obs/mutex.h"
 
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "staticanalysis/scanner.h"
 #include "util/bytes.h"
+#include "util/sharded_memo.h"
 
 namespace pinscope::staticanalysis {
 
-/// Monotonic counters describing a cache's lifetime (snapshot; the cache
-/// keeps them in atomics). Schedule-dependent in the per-app breakdown but
-/// stable in aggregate: for every distinct content exactly one scan misses.
-struct ScanCacheStats {
-  std::size_t lookups = 0;       ///< Files that consulted the cache.
-  std::size_t hits = 0;          ///< Files served from a cached outcome.
-  std::size_t misses = 0;        ///< Files that had to be scanned.
-  std::size_t entries = 0;       ///< Distinct (content, flag) outcomes stored.
-  std::size_t bytes_deduped = 0; ///< Content bytes never rescanned.
+/// Scan-cache key: content digest + the suffix-dependent scan branch.
+struct ScanCacheKey {
+  crypto::Sha256Digest digest{};
+  bool cert_file = false;
 
-  [[nodiscard]] double HitRate() const {
-    return lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
+  bool operator==(const ScanCacheKey& o) const {
+    return cert_file == o.cert_file && digest == o.digest;
   }
 };
 
-/// Thread-safe, deterministic content-hash → scan-outcome map. One instance
-/// lives for the duration of a Study and is shared by every worker.
-class ScanCache {
+struct ScanCacheKeyHash {
+  std::size_t operator()(const ScanCacheKey& k) const {
+    // The digest is already uniform; fold in the flag.
+    std::size_t h = 0;
+    std::memcpy(&h, k.digest.data(), sizeof(h));
+    return k.cert_file ? h ^ 0x9e3779b97f4a7c15ULL : h;
+  }
+};
+
+/// Content-hash → scan-outcome memo. One instance lives for the duration of
+/// a study and is shared by every worker.
+class ScanCache
+    : public util::ShardedMemo<ScanCacheKey,
+                               std::shared_ptr<const CachedFileScan>,
+                               ScanCacheKeyHash> {
  public:
-  /// Cache key: content digest + the suffix-dependent scan branch.
-  struct Key {
-    crypto::Sha256Digest digest{};
-    bool cert_file = false;
-
-    bool operator==(const Key& o) const {
-      return cert_file == o.cert_file && digest == o.digest;
-    }
-  };
-
-  explicit ScanCache(std::size_t shard_count = kDefaultShards);
-
-  ScanCache(const ScanCache&) = delete;
-  ScanCache& operator=(const ScanCache&) = delete;
+  using Key = ScanCacheKey;
 
   /// Builds the key for one file.
   [[nodiscard]] static Key MakeKey(const util::Bytes& content, bool cert_file);
-
-  /// Looks up a cached outcome. Counts one lookup; on a hit also counts
-  /// `content_size` toward bytes_deduped. Returns nullptr on miss.
-  [[nodiscard]] std::shared_ptr<const CachedFileScan> Find(
-      const Key& key, std::size_t content_size);
-
-  /// Deposits an outcome (first insert wins) and returns the resident
-  /// entry — the caller must append *that*, not its local copy, so racing
-  /// workers all observe one canonical outcome.
-  std::shared_ptr<const CachedFileScan> Insert(const Key& key,
-                                               CachedFileScan scan);
-
-  /// Counter snapshot (approximate while scans are in flight; exact once
-  /// the parallel loop has joined).
-  [[nodiscard]] ScanCacheStats Stats() const;
-
-  /// Resident entry count, measured by walking the shards.
-  [[nodiscard]] std::size_t EntryCount() const;
 
   /// Persists every entry to `path` through util::WriteCacheFile (versioned
   /// header, checksum, atomic rename; DESIGN.md §15). Entries serialize in
@@ -102,56 +71,18 @@ class ScanCache {
   /// Merges entries from a file written by SaveToFile (first-wins against
   /// anything already resident). A missing, foreign, version-mismatched, or
   /// corrupt file returns false and loads nothing — the cold-start path.
-  /// Loaded entries count toward entries (they are resident), never toward
+  /// Loaded entries count toward inserts and entries, never toward
   /// lookups/hits: warm-start provenance is reported by the caller's
   /// cache.persist.* gauges instead.
   bool LoadFromFile(const std::string& path);
 
-  /// Binds every shard's lock to the `lock.<name>.contended` /
-  /// `lock.<name>.wait_us` family (obs/mutex.h) so the run autopsy's
-  /// idle-time attribution covers this cache. Null-safe; call before the
-  /// cache is shared across workers.
-  void AttachMetrics(obs::MetricsRegistry* metrics,
-                     std::string_view name = "scan_cache") {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      shards_[s].mu.Attach(metrics, name);
-    }
+  /// Binds the shard locks to the `lock.scan_cache.*` family.
+  void AttachMetrics(obs::MetricsRegistry* metrics) {
+    ShardedMemo::AttachMetrics(metrics, "scan_cache");
   }
 
-  static constexpr std::size_t kDefaultShards = 16;
   static constexpr std::uint32_t kFileKind = 0x314e4353;  // "SCN1"
   static constexpr std::uint32_t kFileVersion = 1;
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // The digest is already uniform; fold in the flag.
-      std::size_t h = 0;
-      std::memcpy(&h, k.digest.data(), sizeof(h));
-      return k.cert_file ? h ^ 0x9e3779b97f4a7c15ULL : h;
-    }
-  };
-
-  struct Shard {
-    /// mutable so the read-only SaveToFile/EntryCount walks can lock on a
-    /// const cache.
-    mutable obs::TrackedMutex mu;
-    std::unordered_map<Key, std::shared_ptr<const CachedFileScan>, KeyHash> map;
-  };
-
-  Shard& ShardFor(const Key& key) {
-    // Use a digest byte the hash does not (bytes 0-7 feed KeyHash) so shard
-    // choice and within-shard bucketing stay independent.
-    return shards_[key.digest[8] % shard_count_];
-  }
-
-  const std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-
-  std::atomic<std::size_t> lookups_{0};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> bytes_deduped_{0};
-  std::atomic<std::size_t> entries_{0};
 };
 
 }  // namespace pinscope::staticanalysis

@@ -238,18 +238,16 @@ ScanResult Scanner::Scan(const appmodel::PackageFiles& files, ScanCache* cache,
     // The scan branch taken depends on the cert-file flag as well as the
     // bytes, so both are part of the cache key.
     const ScanCache::Key key = ScanCache::MakeKey(content, is_cert_file);
-    if (const auto hit = cache->Find(key, content.size())) {
+    if (const auto hit = cache->Find(key)) {
       ++out.cache_hits;
       out.cache_bytes_deduped += content.size();
-      AppendRebound(*hit, path, out);
+      AppendRebound(**hit, path, out);
       continue;
     }
     CachedFileScan scan;
     ScanFile(content, is_cert_file, scan);
-    // First insert wins on a race; either way the resident entry is
-    // appended, and racing entries are identical because ScanFile is a pure
-    // function of (content, flag).
-    const auto resident = cache->Insert(key, std::move(scan));
+    const auto resident = cache->Insert(
+        key, std::make_shared<const CachedFileScan>(std::move(scan)));
     AppendRebound(*resident, path, out);
   }
   if (metrics != nullptr) {

@@ -9,10 +9,6 @@
 
 namespace pinscope::x509 {
 
-ValidationCache::ValidationCache(std::size_t shard_count)
-    : shard_count_(shard_count == 0 ? 1 : shard_count),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {}
-
 ValidationCache::Key ValidationCache::MakeKey(const CertificateChain& chain,
                                               std::string_view hostname,
                                               util::SimTime now,
@@ -38,53 +34,8 @@ ValidationCache::Key ValidationCache::MakeKey(const CertificateChain& chain,
   return key;
 }
 
-std::optional<ValidationResult> ValidationCache::Find(const Key& key) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = ShardFor(key);
-  std::optional<ValidationResult> found;
-  {
-    std::lock_guard<obs::TrackedMutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) found = it->second;
-  }
-  if (found.has_value()) hits_.fetch_add(1, std::memory_order_relaxed);
-  return found;
-}
-
-ValidationResult ValidationCache::Insert(Key key, ValidationResult result) {
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<obs::TrackedMutex> lock(shard.mu);
-  const auto [it, inserted] = shard.map.try_emplace(std::move(key), result);
-  if (inserted) entries_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-ValidationCacheStats ValidationCache::Stats() const {
-  ValidationCacheStats stats;
-  stats.lookups = lookups_.load(std::memory_order_relaxed);
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = stats.lookups - stats.hits;
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.entries = entries_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-std::size_t ValidationCache::EntryCount() const {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::lock_guard<obs::TrackedMutex> lock(shards_[s].mu);
-    n += shards_[s].map.size();
-  }
-  return n;
-}
-
 bool ValidationCache::SaveToFile(const std::string& path) const {
-  std::vector<std::pair<Key, ValidationResult>> entries;
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::lock_guard<obs::TrackedMutex> lock(shards_[s].mu);
-    for (const auto& [key, result] : shards_[s].map) entries.emplace_back(key, result);
-  }
+  auto entries = Entries();
   std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
     return std::tie(a.first.chain_fp, a.first.store_token, a.first.options_token,
                     a.first.now, a.first.hostname) <

@@ -1,46 +1,33 @@
 // SIMD-equivalence suite: the multi-literal prefilter's vector kernels are a
 // pure throughput change. For every cell of the grid
-//   seeds {7, 23} × threads {1, 4, hardware_concurrency} × {best SIMD level,
-//   forced portable}
+//   seeds {7, 23} × threads {1, 4, hardware_concurrency}
 // a full study must reproduce the golden digests in tests/golden/ of
 //   (a) the JSON and CSV dataset exports,
 //   (b) the decision-journal JSONL (full kDebug fidelity), and
 //   (c) the run-report Markdown + JSON,
-// byte for byte. The PINSCOPE_NO_SIMD knob is read at prefilter
-// construction, so each study builds fresh scanners under the scoped
-// environment; a level assertion guards against a vacuous comparison (the
-// "forced" side silently running the same kernel).
+// byte for byte. tests/CMakeLists.txt registers this binary three times: at
+// the host's best tier, under PINSCOPE_NO_SIMD=1 (portable kernels, tests
+// prefixed `NoSimd.`) and under PINSCOPE_NO_AVX2=1 (SSE2 at most, prefixed
+// `NoAvx2.`). The knobs are read when a prefilter is built, and
+// AnalyzeStatically builds its one Scanner on first use, so a tier can only
+// be forced for a whole process. A level assertion guards against a vacuous
+// run (the scanner at another tier than the environment asks for).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
 #include "core/study.h"
 #include "crypto/cpu.h"
-#include "staticanalysis/prefilter.h"
+#include "staticanalysis/scanner.h"
 #include "testing/fixtures.h"
 #include "testing/golden.h"
 
 namespace pinscope::core {
 namespace {
 
-/// Scoped setenv/unsetenv so a failing assertion cannot leak a knob into
-/// later tests in this binary.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    ::setenv(name, "1", /*overwrite=*/1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
-/// The golden-digest text of one study at `threads`, scanned under
-/// whatever SIMD knobs are set right now.
+/// The golden-digest text of one study at `threads`.
 std::string RunDigests(const store::Ecosystem& eco, int threads) {
   StudyOptions opts;
   opts.threads = threads;
@@ -51,18 +38,15 @@ std::string RunDigests(const store::Ecosystem& eco, int threads) {
 class SimdEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimdEquivalenceTest, SimdAndPortableScansExportIdenticalBytes) {
+  const crypto::cpu::SimdLevel level = crypto::cpu::DetectSimdLevel();
+  SCOPED_TRACE(std::string("tier=") + crypto::cpu::SimdLevelName(level));
+  ASSERT_EQ(staticanalysis::Scanner().prefilter().level(), level);
+
   const store::Ecosystem& eco = pinscope::testing::MakeStudyCorpus(GetParam());
   const std::string golden = pinscope::testing::ReadStudyGolden(GetParam());
-
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(golden, RunDigests(eco, threads));
-
-    const ScopedEnv no_simd("PINSCOPE_NO_SIMD");
-    // Not vacuous: forcing the knob really changes the kernel in play.
-    const staticanalysis::MultiLiteralPrefilter probe({"sha"});
-    ASSERT_EQ(probe.level(), crypto::cpu::SimdLevel::kPortable);
     EXPECT_EQ(golden, RunDigests(eco, threads));
   }
 }

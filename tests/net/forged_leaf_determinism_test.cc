@@ -130,7 +130,7 @@ TEST(ForgedLeafDeterminismTest, ConcurrentForgingConvergesToOneChain) {
     }
   }
 
-  const ForgedLeafCacheStats stats = proxy.ForgedCacheStats();
+  const util::MemoStats stats = shared->Stats();
   EXPECT_EQ(stats.entries, hosts.size());
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -96,12 +97,15 @@ TEST(ScanCacheTest, HitMissAccounting) {
   const ScanResult r2 = scanner.Scan(app2, &cache);
   EXPECT_EQ(r2.cache_hits, 1u);  // the shared SDK smali
 
-  const ScanCacheStats stats = cache.Stats();
+  const util::MemoStats stats = cache.Stats();
   EXPECT_EQ(stats.lookups, 4u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.inserts, 3u);
   EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.bytes_deduped, app2.Find("smali/other/path/Sdk.smali")->size());
+  EXPECT_EQ(r1.cache_bytes_deduped, 0u);
+  EXPECT_EQ(r2.cache_bytes_deduped,
+            app2.Find("smali/other/path/Sdk.smali")->size());
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
 }
 
@@ -161,20 +165,23 @@ TEST(ScanCacheTest, InsertIsFirstWins) {
   ScanCache cache;
   const util::Bytes content = util::ToBytes("some scanned content");
   const ScanCache::Key key = ScanCache::MakeKey(content, false);
-  EXPECT_EQ(cache.Find(key, content.size()), nullptr);
+  EXPECT_FALSE(cache.Find(key).has_value());
 
   CachedFileScan scan;
   scan.pins.push_back({"", "sha256/first", std::nullopt});
-  const auto first = cache.Insert(key, std::move(scan));
+  const auto first =
+      cache.Insert(key, std::make_shared<const CachedFileScan>(std::move(scan)));
   CachedFileScan again;
   again.pins.push_back({"", "sha256/first", std::nullopt});
-  const auto second = cache.Insert(key, std::move(again));
+  const auto second =
+      cache.Insert(key, std::make_shared<const CachedFileScan>(std::move(again)));
   EXPECT_EQ(first.get(), second.get());  // resident entry returned both times
   EXPECT_EQ(cache.Stats().entries, 1u);
+  EXPECT_EQ(cache.Stats().inserts, 2u);
 
-  const auto found = cache.Find(key, content.size());
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found.get(), first.get());
+  const auto found = cache.Find(key);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->get(), first.get());
 }
 
 TEST(ScanCacheTest, ConcurrentSharedCacheScansAreIdentical) {
@@ -209,7 +216,7 @@ TEST(ScanCacheTest, ConcurrentSharedCacheScansAreIdentical) {
     SCOPED_TRACE("app " + std::to_string(i));
     ExpectSameScan(reference[i], concurrent[i]);
   }
-  const ScanCacheStats stats = cache.Stats();
+  const util::MemoStats stats = cache.Stats();
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_GE(stats.hits, 1u);
   EXPECT_LE(stats.entries, stats.lookups);

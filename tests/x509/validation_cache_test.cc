@@ -55,7 +55,7 @@ TEST(ValidationCacheTest, CachedAgreesWithUncachedOnHitAndMiss) {
   EXPECT_EQ(plain.status, hit.status);
   EXPECT_EQ(plain.failing_index, hit.failing_index);
 
-  const ValidationCacheStats stats = cache.Stats();
+  const util::MemoStats stats = cache.Stats();
   EXPECT_EQ(stats.lookups, 2u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -176,7 +176,7 @@ TEST(ValidationCacheTest, ConcurrentMixedWorkloadIsSafeAndConsistent) {
   for (std::thread& th : workers) th.join();
 
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(ok_counts[t], kReps);
-  const ValidationCacheStats stats = cache.Stats();
+  const util::MemoStats stats = cache.Stats();
   EXPECT_EQ(stats.lookups, static_cast<std::size_t>(kThreads * kReps * 2));
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_EQ(stats.entries, 2u);
