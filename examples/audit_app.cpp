@@ -7,6 +7,7 @@
 //   4. instrumented re-run — can the pinned traffic be inspected at all,
 //   5. verdict: what the pinning protects and what it hides.
 #include <cstdio>
+#include <string_view>
 
 #include "dynamicanalysis/pipeline.h"
 #include "report/table.h"
@@ -60,9 +61,10 @@ int main() {
                 cert.cert.subject().common_name().data(), cert.path.c_str());
   }
   for (const auto& pin : sreport.scan.pins) {
-    if (pin.parsed.has_value()) {
-      std::printf("         pin  %s at %s\n", pin.pin_string.c_str(),
-                  pin.path.c_str());
+    if (pin.well_formed()) {
+      const std::string_view text = pin.pin_string();
+      std::printf("         pin  %.*s at %s\n", static_cast<int>(text.size()),
+                  text.data(), sreport.scan.PathOf(pin).c_str());
     }
   }
   if (sreport.nsc.uses_nsc) {

@@ -70,7 +70,9 @@ class ScanCache
 
   /// Merges entries from a file written by SaveToFile (first-wins against
   /// anything already resident). A missing, foreign, version-mismatched, or
-  /// corrupt file returns false and loads nothing — the cold-start path.
+  /// corrupt file, or one holding a pin record no scan can produce, returns
+  /// false and loads nothing — the cold-start path. Pins decode straight
+  /// into their flat records, with no allocation per pin.
   /// Loaded entries count toward inserts and entries, never toward
   /// lookups/hits: warm-start provenance is reported by the caller's
   /// cache.persist.* gauges instead.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "staticanalysis/scan_cache.h"
 #include "util/strings.h"
@@ -53,12 +54,19 @@ std::size_t PinMatchLength(std::string_view text, std::size_t pos) {
   return end - head >= kPinBodyMin ? end : 0;
 }
 
+FoundPin FoundPin::FromMatch(std::string_view match, std::size_t offset) {
+  FoundPin pin;
+  pin.offset = offset;
+  pin.digest = tls::DecodePinString(match);
+  pin.text_size = static_cast<std::uint8_t>(match.size());
+  std::memcpy(pin.text.data(), match.data(), match.size());
+  return pin;
+}
+
 bool ScanResult::HasPinningEvidence() const {
   if (!certificates.empty()) return true;
-  for (const FoundPin& pin : pins) {
-    if (pin.parsed.has_value()) return true;
-  }
-  return false;
+  return std::any_of(pins.begin(), pins.end(),
+                     [](const FoundPin& pin) { return pin.well_formed(); });
 }
 
 const std::vector<std::string>& CertFileSuffixes() {
@@ -90,34 +98,40 @@ bool LooksBinary(const util::Bytes& data) {
   return probe > 0 && nonprint * 10 > probe;  // >10% non-printable
 }
 
-// Appends a cached (path-less) outcome to `out`, rebinding every `path`
-// field to the observing file. Copying: the entry stays cache-resident.
+// Appends one file's pins to `out` with one bulk copy and one path entry.
+// The records are flat, so this is a memcpy plus the path_index stamp.
+void AppendPins(const std::vector<FoundPin>& pins, const std::string& path,
+                ScanResult& out) {
+  if (pins.empty()) return;
+  const auto path_index = static_cast<std::uint32_t>(out.pin_paths.size());
+  out.pin_paths.push_back(path);
+  const std::size_t first = out.pins.size();
+  out.pins.insert(out.pins.end(), pins.begin(), pins.end());
+  for (std::size_t i = first; i < out.pins.size(); ++i) {
+    out.pins[i].path_index = path_index;
+  }
+}
+
+// Appends a cached (path-less) outcome to `out`, rebinding it to the
+// observing file. Copying: the entry stays cache-resident.
 void AppendRebound(const CachedFileScan& scan, const std::string& path,
                    ScanResult& out) {
   out.certificates.reserve(out.certificates.size() + scan.certificates.size());
-  out.pins.reserve(out.pins.size() + scan.pins.size());
   for (const FoundCertificate& c : scan.certificates) {
     out.certificates.push_back(c);
     out.certificates.back().path = path;
   }
-  for (const FoundPin& p : scan.pins) {
-    out.pins.push_back(p);
-    out.pins.back().path = path;
-  }
+  AppendPins(scan.pins, path, out);
 }
 
 // Move flavor for outcomes that are not kept anywhere else (cache off).
 void AppendOwned(CachedFileScan&& scan, const std::string& path, ScanResult& out) {
   out.certificates.reserve(out.certificates.size() + scan.certificates.size());
-  out.pins.reserve(out.pins.size() + scan.pins.size());
   for (FoundCertificate& c : scan.certificates) {
     c.path = path;
     out.certificates.push_back(std::move(c));
   }
-  for (FoundPin& p : scan.pins) {
-    p.path = path;
-    out.pins.push_back(std::move(p));
-  }
+  AppendPins(scan.pins, path, out);
 }
 
 }  // namespace
@@ -153,13 +167,9 @@ void Scanner::ConsumeHits(const PrefilterHit* begin, const PrefilterHit* end,
     if (pos < pin_resume) continue;
     const std::size_t len = PinMatchLength(text, pos);
     if (len == 0) continue;
-    FoundPin pin;
-    pin.pin_string = std::string(text.substr(pos, len));
-    pin.parsed = tls::Pin::FromPinString(pin.pin_string);
-    // Absolute within the file: content-derived evidence the decision
-    // journal can point at.
-    pin.offset = it->pos;
-    out.pins.push_back(std::move(pin));
+    // The offset is absolute within the file: content-derived evidence the
+    // decision journal can point at.
+    out.pins.push_back(FoundPin::FromMatch(text.substr(pos, len), it->pos));
     pin_resume = pos + len;
   }
 }

@@ -9,17 +9,20 @@
 // The scan inner loop is zero-copy and single-pass: file contents are viewed
 // as std::string_view over the package's own bytes (no per-file string
 // copies), one prefilter sweep finds every PEM marker and every `sha`, and
-// PinMatchLength confirms a pin at each `sha` without backtracking. With a
+// PinMatchLength confirms a pin at each `sha` without backtracking. Each pin
+// becomes one flat FoundPin record (its text and decoded digest inline), so
+// a file's pins are copied, cached, persisted and freed as one block. With a
 // ScanCache (see scan_cache.h) attached, files whose content was already
 // scanned anywhere in the corpus replay their cached outcome instead of being
 // rescanned — shared SDK artifacts are scanned once per study, not once per
 // app.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "appmodel/package.h"
@@ -39,21 +42,48 @@ struct FoundCertificate {
   bool from_pem = false;     ///< Found via PEM armor (vs raw DER file).
 };
 
-/// A pin string discovered in a package.
+/// The paper's pin rule (§4.1.2), verbatim. It is quoted in every
+/// static.pin_found journal event; PinMatchLength is its matcher.
+inline constexpr std::string_view kPinRule = "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
+
+/// A pin string discovered in a package: one flat record with its text and
+/// decoded digest inline, so a file's pins copy, cache, persist and free as
+/// one block, with no heap allocation per pin.
 struct FoundPin {
-  std::string path;          ///< File where it was found.
-  std::string pin_string;    ///< Raw "sha256/..." text as matched.
-  std::optional<tls::Pin> parsed;  ///< Decoded pin (nullopt if malformed).
+  /// kPinRule's longest match: "sha256/" plus a 64-byte body.
+  static constexpr std::size_t kMaxTextSize = 7 + 64;
+
   /// Byte offset of the match within the file — in binary files, the
   /// absolute offset of the match inside the printable run it was found in.
   /// Content-derived, so cached and uncached scans agree.
   std::size_t offset = 0;
+  /// The file it was found in, as an index into ScanResult::pin_paths. Zero
+  /// inside a CachedFileScan, whose entries hold no paths.
+  std::uint32_t path_index = 0;
+  /// tls::DecodePinString of the text; not ok() when it is malformed.
+  tls::PinDigest digest;
+  std::uint8_t text_size = 0;
+  std::array<char, kMaxTextSize> text{};
+
+  /// The record for a kPinRule match (`match` is at most kMaxTextSize
+  /// bytes), decoded once here.
+  [[nodiscard]] static FoundPin FromMatch(std::string_view match,
+                                          std::size_t offset);
+
+  /// Raw "sha256/..." text as matched.
+  [[nodiscard]] std::string_view pin_string() const {
+    return {text.data(), text_size};
+  }
+  /// True when the text decodes to a pin digest.
+  [[nodiscard]] bool well_formed() const { return digest.ok(); }
 };
+static_assert(std::is_trivially_copyable_v<FoundPin>);
 
 /// Path-independent scan outcome of one file's *content* — the unit the
-/// corpus-wide ScanCache stores. The `path` fields inside are empty; they
-/// are rebound to the observing file's path when the entry is appended to a
-/// ScanResult, so cached and uncached scans are byte-identical.
+/// corpus-wide ScanCache stores. Its certificates' `path` fields are empty
+/// and its pins' `path_index` is 0; both are rebound to the observing file
+/// when the entry is appended to a ScanResult, so cached and uncached scans
+/// are byte-identical.
 struct CachedFileScan {
   std::vector<FoundCertificate> certificates;
   std::vector<FoundPin> pins;
@@ -63,6 +93,9 @@ struct CachedFileScan {
 struct ScanResult {
   std::vector<FoundCertificate> certificates;
   std::vector<FoundPin> pins;
+  /// The path of each file that produced pins, once, in scan order; a
+  /// FoundPin's path_index points here.
+  std::vector<std::string> pin_paths;
   std::size_t files_scanned = 0;
   std::size_t bytes_scanned = 0;
 
@@ -73,14 +106,15 @@ struct ScanResult {
   std::size_t cache_hits = 0;
   std::size_t cache_bytes_deduped = 0;
 
+  /// The file `pin` (one of `pins`) was found in.
+  [[nodiscard]] const std::string& PathOf(const FoundPin& pin) const {
+    return pin_paths[pin.path_index];
+  }
+
   /// True if any certificate or well-formed pin was found — the paper's
   /// "embedded certificates" static-detection signal.
   [[nodiscard]] bool HasPinningEvidence() const;
 };
-
-/// The paper's pin rule (§4.1.2), verbatim. It is quoted in every
-/// static.pin_found journal event; PinMatchLength is its matcher.
-inline constexpr std::string_view kPinRule = "sha(1|256)/[a-zA-Z0-9+/=]{28,64}";
 
 /// Length of the longest kPinRule match that starts exactly at `text[pos]`,
 /// or 0 when none does (a match is at least 33 bytes). The heads `sha1/` and

@@ -1,8 +1,9 @@
 #include "staticanalysis/static_report.h"
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
-#include <string_view>
-#include <unordered_set>
 
 #include "crypto/sha256.h"
 
@@ -18,8 +19,13 @@ bool StaticReport::ConfigPinning() const {
 std::vector<std::string> StaticReport::EvidencePaths() const {
   std::set<std::string> paths;
   for (const FoundCertificate& c : scan.certificates) paths.insert(c.path);
+  // Each pin file's path once, however many pins it holds.
+  std::vector<bool> pin_evidence(scan.pin_paths.size());
   for (const FoundPin& p : scan.pins) {
-    if (p.parsed.has_value()) paths.insert(p.path);
+    if (p.well_formed()) pin_evidence[p.path_index] = true;
+  }
+  for (std::size_t i = 0; i < pin_evidence.size(); ++i) {
+    if (pin_evidence[i]) paths.insert(scan.pin_paths[i]);
   }
   return std::vector<std::string>(paths.begin(), paths.end());
 }
@@ -39,11 +45,11 @@ void EmitStaticEvents(const StaticReport& report, obs::EventScope& log) {
   }
   for (const FoundPin& pin : report.scan.pins) {
     log.Emit(obs::Severity::kDecision, "static.pin_found",
-             {{"path", pin.path},
+             {{"path", report.scan.PathOf(pin)},
               {"offset", static_cast<std::uint64_t>(pin.offset)},
               {"rule", kPinRule},
-              {"pin", pin.pin_string},
-              {"well_formed", pin.parsed.has_value()}});
+              {"pin", pin.pin_string()},
+              {"well_formed", pin.well_formed()}});
   }
   for (const FoundCertificate& cert : report.scan.certificates) {
     log.Emit(obs::Severity::kDecision, "static.cert_found",
@@ -87,6 +93,41 @@ void EmitStaticEvents(const StaticReport& report, obs::EventScope& log) {
   }
 }
 
+// The distinct pin texts of one report, for CT resolution, without a string
+// hash or an allocation per pin: open addressing over indices into `pins`,
+// hashed on the first eight bytes of the decoded digest. Those bytes are
+// uniform, and equal texts decode to equal digests, so equal texts probe the
+// same chain; texts are compared only along it. For well-formed pins only.
+class PinTextSet {
+ public:
+  explicit PinTextSet(const std::vector<FoundPin>& pins) : pins_(pins) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * pins.size()) capacity *= 2;  // load factor <= 1/2
+    slots_.assign(capacity, kEmpty);
+  }
+
+  /// Adds pins[index]; false when an equal text is already in the set.
+  bool Insert(std::uint32_t index) {
+    const FoundPin& pin = pins_[index];
+    std::uint64_t hash = 0;
+    std::memcpy(&hash, pin.digest.bytes.data(), sizeof(hash));
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+      if (slots_[slot] == kEmpty) {
+        slots_[slot] = index;
+        return true;
+      }
+      if (pins_[slots_[slot]].pin_string() == pin.pin_string()) return false;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty =
+      std::numeric_limits<std::uint32_t>::max();
+  const std::vector<FoundPin>& pins_;
+  std::vector<std::uint32_t> slots_;
+};
+
 }  // namespace
 
 StaticReport AnalyzeStatically(const appmodel::App& app,
@@ -120,20 +161,18 @@ StaticReport AnalyzeStatically(const appmodel::App& app,
   EmitStaticEvents(report, log);
 
   // §4.1.3: resolve found pin hashes against the CT log.
-  if (options.ct_log != nullptr) {
-    // Views into report.scan.pins (stable for the loop's lifetime): a
-    // pin-dense file would otherwise pay one heap string per dedup insert.
-    // Each pin is looked up by the digest bytes Pin::FromPinString already
-    // decoded, and the log hands back indices, not certificate copies.
+  if (options.ct_log != nullptr && !report.scan.pins.empty()) {
+    // Each distinct text is looked up by the digest the scanner already
+    // decoded into its record, and the log hands back indices, not
+    // certificate copies.
     const x509::CtLog& ct_log = *options.ct_log;
-    std::unordered_set<std::string_view> seen_pins;
-    seen_pins.reserve(report.scan.pins.size());
+    const std::vector<FoundPin>& pins = report.scan.pins;
+    PinTextSet seen_pins(pins);
     std::set<crypto::Sha256Digest> seen_fingerprints;
-    for (const FoundPin& pin : report.scan.pins) {
-      if (!pin.parsed.has_value()) continue;
-      if (!seen_pins.insert(pin.pin_string).second) continue;
+    for (std::uint32_t i = 0; i < pins.size(); ++i) {
+      if (!pins[i].well_formed() || !seen_pins.Insert(i)) continue;
       ++report.pins_total;
-      const auto indices = ct_log.SpkiDigestIndices(pin.parsed->material);
+      const auto indices = ct_log.SpkiDigestIndices(pins[i].digest.material());
       if (!indices.empty()) ++report.pins_resolved;
       for (const std::size_t idx : indices) {
         const x509::Certificate& cert = ct_log.certificate(idx);

@@ -80,25 +80,32 @@ std::string Pin::ToPinString() const {
   throw util::Error("unknown PinForm");
 }
 
-std::optional<Pin> Pin::FromPinString(std::string_view s) {
-  PinForm form;
+PinDigest DecodePinString(std::string_view s) {
+  PinDigest digest;
   std::string_view body;
   if (util::StartsWith(s, "sha256/")) {
-    form = PinForm::kSpkiSha256;
+    digest.form = PinForm::kSpkiSha256;
     body = s.substr(7);
   } else if (util::StartsWith(s, "sha1/")) {
-    form = PinForm::kSpkiSha1;
+    digest.form = PinForm::kSpkiSha1;
     body = s.substr(5);
   } else {
-    return std::nullopt;
+    return digest;
   }
-  const auto material = util::Base64Decode(body);
-  if (!material) return std::nullopt;
-  const std::size_t want = form == PinForm::kSpkiSha256 ? 32 : 20;
-  if (material->size() != want) return std::nullopt;
+  const std::size_t want = digest.form == PinForm::kSpkiSha256 ? 32 : 20;
+  // A body longer than 32 bytes does not fit and is rejected unwritten; a
+  // malformed pin carries no partial digest.
+  if (util::Base64DecodeTo(body, digest.bytes) != want) return {};
+  digest.size = static_cast<std::uint8_t>(want);
+  return digest;
+}
+
+std::optional<Pin> Pin::FromPinString(std::string_view s) {
+  const PinDigest digest = DecodePinString(s);
+  if (!digest.ok()) return std::nullopt;
   Pin pin;
-  pin.form = form;
-  pin.material = *material;
+  pin.form = digest.form;
+  pin.material.assign(digest.material().begin(), digest.material().end());
   return pin;
 }
 

@@ -6,7 +6,10 @@
 // against *any* element of the chain (leaf, intermediate, or root).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +32,27 @@ enum class PinForm {
 /// Name of a pin form (for reports).
 [[nodiscard]] std::string_view PinFormName(PinForm f);
 
+/// The digest a "sha256/<base64>" or "sha1/<base64>" pin string decodes to,
+/// held inline: a flat value that records can embed and copy without a heap
+/// buffer.
+struct PinDigest {
+  std::array<std::uint8_t, 32> bytes{};
+  /// 32 for sha256/, 20 for sha1/; 0 when the string does not decode.
+  std::uint8_t size = 0;
+  PinForm form = PinForm::kSpkiSha256;  ///< kSpkiSha256 or kSpkiSha1.
+
+  [[nodiscard]] bool ok() const { return size != 0; }
+  /// The decoded digest: the `material` of the equivalent Pin.
+  [[nodiscard]] std::span<const std::uint8_t> material() const {
+    return {bytes.data(), size};
+  }
+};
+
+/// The one pin-string decoder: parses "sha256/<base64>" / "sha1/<base64>"
+/// without allocating. The result is not ok() on any malformed input
+/// (unknown prefix, bad base64, wrong digest length).
+[[nodiscard]] PinDigest DecodePinString(std::string_view s);
+
 /// A single pin.
 struct Pin {
   PinForm form = PinForm::kSpkiSha256;
@@ -49,8 +73,8 @@ struct Pin {
   /// code. kCertificate/kPublicKey forms render as sha256 of their material.
   [[nodiscard]] std::string ToPinString() const;
 
-  /// Parses "sha256/<base64>" / "sha1/<base64>". Returns nullopt on any
-  /// malformed input (wrong digest length, bad base64).
+  /// Parses "sha256/<base64>" / "sha1/<base64>" through DecodePinString.
+  /// Returns nullopt on any malformed input (wrong digest length, bad base64).
   [[nodiscard]] static std::optional<Pin> FromPinString(std::string_view s);
 };
 

@@ -55,15 +55,18 @@ std::string Base64Encode(const Bytes& data) {
   return out;
 }
 
-bool Base64DecodeInto(std::string_view text, Bytes& out) {
+std::optional<std::size_t> Base64DecodeTo(std::string_view text,
+                                          std::span<std::uint8_t> out) {
   // Strip padding.
   while (!text.empty() && text.back() == '=') text.remove_suffix(1);
   // A single leftover sextet cannot encode a byte; reject streams like "A".
-  if (text.size() % 4 == 1) return false;
-  // Decoded length is exact, so size once and write through a raw pointer —
-  // this decoder runs for every certificate of every bundle scanned, where
-  // per-byte push_back capacity checks were measurable.
-  out.resize(text.size() * 3 / 4);
+  if (text.size() % 4 == 1) return std::nullopt;
+  // Decoded length is exact, so check the room once and write through a raw
+  // pointer — this decoder runs for every certificate of every bundle
+  // scanned and every pin string matched, where per-byte capacity checks
+  // were measurable.
+  const std::size_t size = text.size() * 3 / 4;
+  if (size > out.size()) return std::nullopt;
   const std::array<int, 256>& rev = Reverse();  // hoist the static-local guard
   const auto at = [&](std::size_t i) {
     return rev[static_cast<unsigned char>(text[i])];
@@ -72,7 +75,7 @@ bool Base64DecodeInto(std::string_view text, Bytes& out) {
   std::size_t i = 0;
   for (; i + 4 <= text.size(); i += 4) {
     const int v0 = at(i), v1 = at(i + 1), v2 = at(i + 2), v3 = at(i + 3);
-    if ((v0 | v1 | v2 | v3) < 0) return false;
+    if ((v0 | v1 | v2 | v3) < 0) return std::nullopt;
     const std::uint32_t n = static_cast<std::uint32_t>(v0) << 18 |
                             static_cast<std::uint32_t>(v1) << 12 |
                             static_cast<std::uint32_t>(v2) << 6 |
@@ -85,14 +88,23 @@ bool Base64DecodeInto(std::string_view text, Bytes& out) {
   const std::size_t rest = text.size() - i;  // 0, 2 or 3 after the %4 check
   if (rest == 2) {
     const int v0 = at(i), v1 = at(i + 1);
-    if ((v0 | v1) < 0) return false;
+    if ((v0 | v1) < 0) return std::nullopt;
     *dst = static_cast<std::uint8_t>(v0 << 2 | v1 >> 4);
   } else if (rest == 3) {
     const int v0 = at(i), v1 = at(i + 1), v2 = at(i + 2);
-    if ((v0 | v1 | v2) < 0) return false;
+    if ((v0 | v1 | v2) < 0) return std::nullopt;
     dst[0] = static_cast<std::uint8_t>(v0 << 2 | v1 >> 4);
     dst[1] = static_cast<std::uint8_t>((v1 & 0xf) << 4 | v2 >> 2);
   }
+  return size;
+}
+
+bool Base64DecodeInto(std::string_view text, Bytes& out) {
+  // Padding only shortens the decoded length, so this bound always fits.
+  out.resize(text.size() * 3 / 4);
+  const std::optional<std::size_t> size = Base64DecodeTo(text, out);
+  if (!size.has_value()) return false;
+  out.resize(*size);
   return true;
 }
 

@@ -4,7 +4,10 @@
 // on-the-wire forms the static analyzer greps for.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -23,6 +26,12 @@ namespace pinscope::util {
 /// hot loops can reuse one buffer's capacity across calls. Returns false on
 /// malformed input, in which case `out` holds unspecified contents.
 bool Base64DecodeInto(std::string_view text, Bytes& out);
+
+/// As above, but decodes into caller memory without allocating: returns the
+/// decoded length, or nullopt on malformed input or when the decoded bytes
+/// would not fit in `out` (nothing past out.size() is written).
+[[nodiscard]] std::optional<std::size_t> Base64DecodeTo(
+    std::string_view text, std::span<std::uint8_t> out);
 
 /// True if `s` consists solely of base64 alphabet characters (optionally
 /// followed by '=' padding) — the character class the paper's pin regex uses.

@@ -1,8 +1,12 @@
 #include "util/cache_file.h"
 
+#include <sys/stat.h>
+
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace pinscope::util {
 
@@ -22,25 +26,35 @@ std::uint64_t Checksum(const Bytes& payload) {
   return h;
 }
 
-void AppendHeader(Bytes& out, std::uint32_t kind, std::uint32_t version,
-                  const Bytes& payload) {
-  AppendU32(out, kMagic);
-  AppendU32(out, kind);
-  AppendU32(out, version);
-  AppendU64(out, payload.size());
-  AppendU64(out, Checksum(payload));
+template <typename T>
+T LoadLE(const std::uint8_t* src) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(static_cast<T>(src[i]) << (8 * i));
+  }
+  return v;
 }
+
+// The header's fields, at fixed offsets.
+constexpr std::size_t kKindAt = 4;
+constexpr std::size_t kVersionAt = 8;
+constexpr std::size_t kSizeAt = 12;
+constexpr std::size_t kChecksumAt = 20;
 
 }  // namespace
 
 void AppendU8(Bytes& out, std::uint8_t v) { out.push_back(v); }
 
 void AppendU32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  std::array<std::uint8_t, sizeof(v)> le;
+  StoreLE(le.data(), v);
+  out.insert(out.end(), le.begin(), le.end());
 }
 
 void AppendU64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  std::array<std::uint8_t, sizeof(v)> le;
+  StoreLE(le.data(), v);
+  out.insert(out.end(), le.begin(), le.end());
 }
 
 void AppendI64(Bytes& out, std::int64_t v) {
@@ -66,42 +80,36 @@ std::uint8_t ByteReader::U8() {
 std::uint32_t ByteReader::U32() {
   std::uint8_t raw[4] = {};
   Raw(raw, sizeof(raw));
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(raw[i]) << (8 * i);
-  return v;
+  return LoadLE<std::uint32_t>(raw);
 }
 
 std::uint64_t ByteReader::U64() {
   std::uint8_t raw[8] = {};
   Raw(raw, sizeof(raw));
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(raw[i]) << (8 * i);
-  return v;
+  return LoadLE<std::uint64_t>(raw);
 }
 
 std::int64_t ByteReader::I64() { return static_cast<std::int64_t>(U64()); }
 
-std::string ByteReader::String() {
+std::span<const std::uint8_t> ByteReader::BlobView() {
   const std::uint32_t n = U32();
-  if (!ok_ || data_->size() - pos_ < n) {
+  if (!ok_ || remaining() < n) {
     ok_ = false;
     return {};
   }
-  std::string s(reinterpret_cast<const char*>(data_->data() + pos_), n);
+  const std::span<const std::uint8_t> view(data_->data() + pos_, n);
   pos_ += n;
-  return s;
+  return view;
+}
+
+std::string ByteReader::String() {
+  const std::span<const std::uint8_t> view = BlobView();
+  return std::string(view.begin(), view.end());
 }
 
 Bytes ByteReader::Blob() {
-  const std::uint32_t n = U32();
-  if (!ok_ || data_->size() - pos_ < n) {
-    ok_ = false;
-    return {};
-  }
-  Bytes b(data_->begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_->begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return b;
+  const std::span<const std::uint8_t> view = BlobView();
+  return Bytes(view.begin(), view.end());
 }
 
 bool ByteReader::Raw(std::uint8_t* dst, std::size_t n) {
@@ -117,10 +125,12 @@ bool ByteReader::Raw(std::uint8_t* dst, std::size_t n) {
 
 bool WriteCacheFile(const std::string& path, std::uint32_t kind,
                     std::uint32_t version, const Bytes& payload) {
-  Bytes file;
-  file.reserve(kHeaderBytes + payload.size());
-  AppendHeader(file, kind, version, payload);
-  Append(file, payload);
+  std::array<std::uint8_t, kHeaderBytes> header;
+  std::uint8_t* at = StoreLE(header.data(), kMagic);
+  at = StoreLE(at, kind);
+  at = StoreLE(at, version);
+  at = StoreLE(at, static_cast<std::uint64_t>(payload.size()));
+  StoreLE(at, Checksum(payload));
 
   // Unique temp name per writer so two studies saving into one cache dir
   // never scribble on the same in-progress file; rename() then publishes
@@ -131,9 +141,14 @@ bool WriteCacheFile(const std::string& path, std::uint32_t kind,
                           std::to_string(reinterpret_cast<std::uintptr_t>(&counter));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), f);
+  // Header and payload go out as two writes: the payload is never copied
+  // behind a header.
+  const bool written =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      (payload.empty() ||
+       std::fwrite(payload.data(), 1, payload.size(), f) == payload.size());
   const bool flushed = std::fclose(f) == 0;
-  if (written != file.size() || !flushed) {
+  if (!written || !flushed) {
     std::remove(tmp.c_str());
     return false;
   }
@@ -146,26 +161,36 @@ bool WriteCacheFile(const std::string& path, std::uint32_t kind,
 
 std::optional<Bytes> ReadCacheFile(const std::string& path, std::uint32_t kind,
                                    std::uint32_t version) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
   if (f == nullptr) return std::nullopt;
-  Bytes file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    file.insert(file.end(), buf, buf + n);
+  std::array<std::uint8_t, kHeaderBytes> header;
+  if (std::fread(header.data(), 1, header.size(), f.get()) != header.size()) {
+    return std::nullopt;
   }
-  std::fclose(f);
-
-  if (file.size() < kHeaderBytes) return std::nullopt;
-  ByteReader header(file);
-  if (header.U32() != kMagic) return std::nullopt;
-  if (header.U32() != kind) return std::nullopt;
-  if (header.U32() != version) return std::nullopt;
-  const std::uint64_t payload_size = header.U64();
-  const std::uint64_t checksum = header.U64();
-  if (file.size() - kHeaderBytes != payload_size) return std::nullopt;
-  Bytes payload(file.begin() + kHeaderBytes, file.end());
-  if (Checksum(payload) != checksum) return std::nullopt;
+  if (LoadLE<std::uint32_t>(header.data()) != kMagic) return std::nullopt;
+  if (LoadLE<std::uint32_t>(header.data() + kKindAt) != kind) return std::nullopt;
+  if (LoadLE<std::uint32_t>(header.data() + kVersionAt) != version) {
+    return std::nullopt;
+  }
+  // The size field must describe exactly the rest of the file — checked
+  // before the payload is allocated, so a hostile header cannot ask for
+  // more memory than the file holds, and trailing bytes are rejected too.
+  const std::uint64_t payload_size = LoadLE<std::uint64_t>(header.data() + kSizeAt);
+  struct stat st {};
+  if (fstat(fileno(f.get()), &st) != 0 ||
+      st.st_size < static_cast<off_t>(kHeaderBytes) ||
+      static_cast<std::uint64_t>(st.st_size) - kHeaderBytes != payload_size) {
+    return std::nullopt;
+  }
+  Bytes payload(payload_size);
+  if (!payload.empty() &&
+      std::fread(payload.data(), 1, payload.size(), f.get()) != payload.size()) {
+    return std::nullopt;
+  }
+  if (Checksum(payload) != LoadLE<std::uint64_t>(header.data() + kChecksumAt)) {
+    return std::nullopt;
+  }
   return payload;
 }
 

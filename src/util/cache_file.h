@@ -23,8 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/bytes.h"
 
@@ -38,7 +40,10 @@ bool WriteCacheFile(const std::string& path, std::uint32_t kind,
 
 /// Reads `path`, verifies magic + kind + version + size + checksum, and
 /// returns the payload. nullopt on a missing, foreign, version-mismatched,
-/// truncated, or corrupt file — the cold-start signal.
+/// truncated, overlong, or corrupt file — the cold-start signal. The header's
+/// payload size is checked against the file's size before anything is
+/// allocated, and the payload is then read once into an exactly sized
+/// buffer.
 [[nodiscard]] std::optional<Bytes> ReadCacheFile(const std::string& path,
                                                  std::uint32_t kind,
                                                  std::uint32_t version);
@@ -46,6 +51,17 @@ bool WriteCacheFile(const std::string& path, std::uint32_t kind,
 // --- Little-endian payload codec helpers -----------------------------------
 // Shared by the cache serializers so both payload formats are trivially
 // byte-stable across platforms.
+
+/// Stores `v` little-endian at `dst` and returns the byte after it, for
+/// encoders that assemble a record on the stack and append it in one go.
+template <typename T>
+std::uint8_t* StoreLE(std::uint8_t* dst, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return dst + sizeof(T);
+}
 
 void AppendU8(Bytes& out, std::uint8_t v);
 void AppendU32(Bytes& out, std::uint32_t v);
@@ -68,11 +84,18 @@ class ByteReader {
   [[nodiscard]] std::int64_t I64();
   [[nodiscard]] std::string String();
   [[nodiscard]] Bytes Blob();
+  /// A length-prefixed (u32) string or blob as a view into the payload, with
+  /// no copy: valid while the payload lives. Empty once a read ran past the
+  /// end.
+  [[nodiscard]] std::span<const std::uint8_t> BlobView();
   /// Copies exactly `n` raw bytes into `dst`.
   bool Raw(std::uint8_t* dst, std::size_t n);
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool AtEnd() const { return pos_ == data_->size(); }
+  /// Bytes not yet read: an upper bound on what a count read from the
+  /// payload can describe, for sizing before a hostile count is trusted.
+  [[nodiscard]] std::size_t remaining() const { return data_->size() - pos_; }
 
  private:
   const Bytes* data_;

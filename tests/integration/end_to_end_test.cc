@@ -116,11 +116,11 @@ TEST(EndToEndTest, CtResolutionMatchesTheDigestStringLookup) {
       std::size_t pins_total = 0, pins_resolved = 0;
       std::vector<x509::Certificate> resolved;
       for (const auto& pin : report.scan.pins) {
-        if (!pin.parsed.has_value() || !seen_pins.insert(pin.pin_string).second) {
+        const std::string_view text = pin.pin_string();
+        if (!pin.well_formed() || !seen_pins.insert(std::string(text)).second) {
           continue;
         }
         ++pins_total;
-        const std::string_view text = pin.pin_string;
         const auto certs = Eco().ct_log().FindBySpkiDigest(
             text.substr(text.find('/') + 1));
         if (!certs.empty()) ++pins_resolved;

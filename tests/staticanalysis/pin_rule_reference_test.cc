@@ -2,14 +2,19 @@
 // brute-force reference in testing/pin_reference.h, over generated subjects.
 // For every subject the longest match at each start position, and the
 // scanner's full pin list (strings and offsets), must agree with the
-// reference.
+// reference. The in-place pin decoder is checked against its definition:
+// base64-decode the body, then require the head's digest length.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "staticanalysis/scanner.h"
 #include "testing/pin_reference.h"
+#include "tls/pinning.h"
+#include "util/base64.h"
 #include "util/rng.h"
 
 namespace pinscope::staticanalysis {
@@ -132,6 +137,53 @@ TEST(RegexReferencePin, BodyLengthsAroundTheWindow) {
   }
 }
 
+TEST(RegexReferencePin, DecodeMatchesBase64DecodeAndDigestLength) {
+  // Bodies of every length the rule admits and beyond, random or the real
+  // encoding of a digest of about the head's length, under both heads and
+  // two that are not.
+  static const std::string kHeads[] = {"sha256/", "sha1/", "sha512/", "sha1"};
+  util::Rng rng(17);
+  int well_formed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string& head = kHeads[static_cast<std::size_t>(rng.UniformInt(0, 3))];
+    std::string body;
+    if (rng.Bernoulli(0.5)) {
+      body = PinBody(rng, static_cast<std::size_t>(rng.UniformInt(0, 70)));
+    } else {
+      const int off = rng.Bernoulli(0.6) ? 0 : rng.UniformInt(-1, 1);
+      util::Bytes digest(
+          static_cast<std::size_t>((head == "sha1/" ? 20 : 32) + off));
+      for (std::uint8_t& b : digest) {
+        b = static_cast<std::uint8_t>(rng.UniformU64(0, 255));
+      }
+      body = util::Base64Encode(digest);
+      if (rng.Bernoulli(0.3)) body.erase(body.find_last_not_of('=') + 1);
+      if (rng.Bernoulli(0.1)) body += "==";
+    }
+    const std::string text = head + body;
+    SCOPED_TRACE(text);
+
+    // The definition, read off the text (a "sha1" head and a body that
+    // starts with '/' spell a sha1/ pin too).
+    const bool sha256 = text.starts_with("sha256/");
+    const bool sha1 = text.starts_with("sha1/");
+    const std::size_t want = sha256 ? 32 : sha1 ? 20 : 0;
+    std::optional<util::Bytes> decoded;
+    if (want != 0) decoded = util::Base64Decode(text.substr(sha256 ? 7 : 5));
+    const bool expect_ok = want != 0 && decoded && decoded->size() == want;
+    const tls::PinDigest got = tls::DecodePinString(text);
+    ASSERT_EQ(got.ok(), expect_ok);
+    EXPECT_EQ(tls::Pin::FromPinString(text).has_value(), expect_ok);
+    if (!expect_ok) continue;
+    ++well_formed;
+    EXPECT_EQ(got.form,
+              sha256 ? tls::PinForm::kSpkiSha256 : tls::PinForm::kSpkiSha1);
+    EXPECT_TRUE(std::ranges::equal(got.material(), *decoded));
+    EXPECT_EQ(tls::Pin::FromPinString(text)->material, *decoded);
+  }
+  EXPECT_GT(well_formed, 400);
+}
+
 TEST(RegexReferencePin, PrintableRunBoundaryCutsAPin) {
   // In a binary file a non-printable byte ends the run, and with it any
   // pin body: the part before the cut matches only if it has 28 body bytes
@@ -149,7 +201,7 @@ TEST(RegexReferencePin, PrintableRunBoundaryCutsAPin) {
     // The whole pin after the cut is always found; the cut one only when
     // its head and 28 body bytes precede the cut.
     ASSERT_FALSE(got.pins.empty());
-    EXPECT_EQ(got.pins.back().pin_string, pin);
+    EXPECT_EQ(got.pins.back().pin_string(), pin);
     EXPECT_EQ(got.pins.size(), cut >= 28 ? 2u : 1u);
   }
 }

@@ -88,8 +88,8 @@ TEST(RegexTest, ThePaperPinPattern) {
 
   const std::vector<FoundPin> pins = ScanText("a " + sha256_pin + " b " + sha1_pin);
   ASSERT_EQ(pins.size(), 2u);
-  EXPECT_EQ(pins[0].pin_string, sha256_pin);
-  EXPECT_EQ(pins[1].pin_string, sha1_pin);
+  EXPECT_EQ(pins[0].pin_string(), sha256_pin);
+  EXPECT_EQ(pins[1].pin_string(), sha1_pin);
 }
 
 TEST(RegexTest, PinPatternAlsoMatchesHexDigests) {
@@ -108,9 +108,9 @@ TEST(RegexTest, FindAllIsNonOverlapping) {
   const std::vector<FoundPin> pins = ScanText(first + second + " " + second);
   ASSERT_EQ(pins.size(), 2u);
   EXPECT_EQ(pins[0].offset, 0u);
-  EXPECT_EQ(pins[0].pin_string, (first + second).substr(0, 5 + 64));
+  EXPECT_EQ(pins[0].pin_string(), (first + second).substr(0, 5 + 64));
   EXPECT_EQ(pins[1].offset, first.size() + second.size() + 1);
-  EXPECT_EQ(pins[1].pin_string, second);
+  EXPECT_EQ(pins[1].pin_string(), second);
 }
 
 TEST(RegexTest, FindAllReportsPositions) {
@@ -165,7 +165,7 @@ TEST(RegexPrefilterTest, FindAllMatchesReferenceOnPinLikeSubjects) {
     ASSERT_EQ(pins.size(), every_position.size());
     for (std::size_t i = 0; i < pins.size(); ++i) {
       EXPECT_EQ(pins[i].offset, every_position[i].first) << i;
-      EXPECT_EQ(pins[i].pin_string, every_position[i].second) << i;
+      EXPECT_EQ(pins[i].pin_string(), every_position[i].second) << i;
     }
   }
 }

@@ -41,9 +41,9 @@ void ExpectSameScan(const ScanResult& a, const ScanResult& b) {
   }
   ASSERT_EQ(a.pins.size(), b.pins.size());
   for (std::size_t i = 0; i < a.pins.size(); ++i) {
-    EXPECT_EQ(a.pins[i].path, b.pins[i].path) << i;
-    EXPECT_EQ(a.pins[i].pin_string, b.pins[i].pin_string) << i;
-    EXPECT_EQ(a.pins[i].parsed.has_value(), b.pins[i].parsed.has_value()) << i;
+    EXPECT_EQ(a.PathOf(a.pins[i]), b.PathOf(b.pins[i])) << i;
+    EXPECT_EQ(a.pins[i].pin_string(), b.pins[i].pin_string()) << i;
+    EXPECT_EQ(a.pins[i].well_formed(), b.pins[i].well_formed()) << i;
   }
 }
 
@@ -123,8 +123,8 @@ TEST(ScanCacheTest, HitRebindsPathsToTheObservingFile) {
   const ScanResult r2 = scanner.Scan(app2, &cache);
   ASSERT_EQ(r1.pins.size(), 1u);
   ASSERT_EQ(r2.pins.size(), 1u);
-  EXPECT_EQ(r1.pins[0].path, "a/App1Sdk.smali");
-  EXPECT_EQ(r2.pins[0].path, "b/App2Sdk.smali");  // hit, path rebound
+  EXPECT_EQ(r1.PathOf(r1.pins[0]), "a/App1Sdk.smali");
+  EXPECT_EQ(r2.PathOf(r2.pins[0]), "b/App2Sdk.smali");  // hit, path rebound
   EXPECT_EQ(r2.cache_hits, 1u);
 }
 
@@ -168,11 +168,11 @@ TEST(ScanCacheTest, InsertIsFirstWins) {
   EXPECT_FALSE(cache.Find(key).has_value());
 
   CachedFileScan scan;
-  scan.pins.push_back({"", "sha256/first", std::nullopt});
+  scan.pins.push_back(FoundPin::FromMatch("sha256/first", 0));
   const auto first =
       cache.Insert(key, std::make_shared<const CachedFileScan>(std::move(scan)));
   CachedFileScan again;
-  again.pins.push_back({"", "sha256/first", std::nullopt});
+  again.pins.push_back(FoundPin::FromMatch("sha256/first", 0));
   const auto second =
       cache.Insert(key, std::make_shared<const CachedFileScan>(std::move(again)));
   EXPECT_EQ(first.get(), second.get());  // resident entry returned both times

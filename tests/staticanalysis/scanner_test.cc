@@ -55,8 +55,8 @@ TEST(ScannerTest, FindsPinHashInSmaliText) {
   files.AddText("smali/com/vendor/Pins.smali", "const-string v0, \"" + pin + "\"");
   const ScanResult result = Scanner().Scan(files);
   ASSERT_EQ(result.pins.size(), 1u);
-  EXPECT_EQ(result.pins[0].pin_string, pin);
-  ASSERT_TRUE(result.pins[0].parsed.has_value());
+  EXPECT_EQ(result.pins[0].pin_string(), pin);
+  ASSERT_TRUE(result.pins[0].well_formed());
 }
 
 TEST(ScannerTest, FindsPinInsideBinaryViaStringExtraction) {
@@ -67,7 +67,7 @@ TEST(ScannerTest, FindsPinInsideBinaryViaStringExtraction) {
             appmodel::RenderBinaryWithStrings({pin, "https://x.com"}, rng));
   const ScanResult result = Scanner().Scan(files);
   ASSERT_EQ(result.pins.size(), 1u);
-  EXPECT_EQ(result.pins[0].pin_string, pin);
+  EXPECT_EQ(result.pins[0].pin_string(), pin);
 }
 
 TEST(ScannerTest, MalformedPinIsReportedUnparsed) {
@@ -76,7 +76,7 @@ TEST(ScannerTest, MalformedPinIsReportedUnparsed) {
   files.AddText("notes.txt", "sha256/" + std::string(30, 'A'));
   const ScanResult result = Scanner().Scan(files);
   ASSERT_EQ(result.pins.size(), 1u);
-  EXPECT_FALSE(result.pins[0].parsed.has_value());
+  EXPECT_FALSE(result.pins[0].well_formed());
   EXPECT_FALSE(result.HasPinningEvidence());
 }
 

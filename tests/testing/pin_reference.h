@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bitset>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
@@ -171,11 +172,8 @@ inline void ReferenceScanText(std::string_view text, std::size_t base,
       ++pos;
       continue;
     }
-    staticanalysis::FoundPin pin;
-    pin.pin_string = std::string(text.substr(pos, *len));
-    pin.parsed = tls::Pin::FromPinString(pin.pin_string);
-    pin.offset = base + pos;
-    out.pins.push_back(std::move(pin));
+    out.pins.push_back(
+        staticanalysis::FoundPin::FromMatch(text.substr(pos, *len), base + pos));
     pos += *len;
   }
 }
@@ -223,9 +221,12 @@ inline staticanalysis::ScanResult ReferenceScan(const appmodel::PackageFiles& fi
       c.path = path;
       result.certificates.push_back(std::move(c));
     }
-    for (staticanalysis::FoundPin& p : scan.pins) {
-      p.path = path;
-      result.pins.push_back(std::move(p));
+    if (!scan.pins.empty()) {
+      for (staticanalysis::FoundPin& p : scan.pins) {
+        p.path_index = static_cast<std::uint32_t>(result.pin_paths.size());
+        result.pins.push_back(p);
+      }
+      result.pin_paths.push_back(path);
     }
   }
   return result;
@@ -242,11 +243,10 @@ inline void ExpectSameScan(const staticanalysis::ScanResult& got,
   }
   ASSERT_EQ(got.pins.size(), want.pins.size());
   for (std::size_t i = 0; i < want.pins.size(); ++i) {
-    EXPECT_EQ(got.pins[i].path, want.pins[i].path) << i;
-    EXPECT_EQ(got.pins[i].pin_string, want.pins[i].pin_string) << i;
+    EXPECT_EQ(got.PathOf(got.pins[i]), want.PathOf(want.pins[i])) << i;
+    EXPECT_EQ(got.pins[i].pin_string(), want.pins[i].pin_string()) << i;
     EXPECT_EQ(got.pins[i].offset, want.pins[i].offset) << i;
-    EXPECT_EQ(got.pins[i].parsed.has_value(), want.pins[i].parsed.has_value())
-        << i;
+    EXPECT_EQ(got.pins[i].well_formed(), want.pins[i].well_formed()) << i;
   }
 }
 
