@@ -53,13 +53,12 @@ inline void AddJournalAndReport(StudyArtifacts& out,
   out.report_json = report::WriteRunReportJson(input);
 }
 
-/// Runs `eco` through Study::Run (`streamed` false) or straight through
-/// RunStreamingStudy with a row-retaining exporter (`streamed` true), with a
-/// kDebug journal attached to `options.observer` (a local observer when
-/// null) for the duration of the run, and returns what it externalized.
-inline StudyArtifacts RunStudyArtifacts(const store::Ecosystem& eco,
-                                        core::StudyOptions options,
-                                        bool streamed) {
+/// Runs `source` through RunStreamingStudy with a row-retaining exporter,
+/// with a kDebug journal attached to `options.observer` (a local observer
+/// when null) for the duration of the run, and returns what it
+/// externalized.
+inline StudyArtifacts RunStreamedArtifacts(const core::CorpusSource& source,
+                                           core::StudyOptions options) {
   obs::Observer local_observer;
   if (options.observer == nullptr) options.observer = &local_observer;
   obs::Observer& observer = *options.observer;
@@ -67,20 +66,37 @@ inline StudyArtifacts RunStudyArtifacts(const store::Ecosystem& eco,
   observer.set_log(&log);
 
   StudyArtifacts out;
+  core::StreamExporter exporter;
+  (void)core::RunStreamingStudy(source, options, exporter);
+  out.json = exporter.FinishJson();
+  out.csv = exporter.FinishCsv();
+  AddJournalAndReport(out, exporter.FinishVerdicts(), log);
+  observer.set_log(nullptr);
+  return out;
+}
+
+/// Runs `eco` through Study::Run (`streamed` false) or straight through
+/// RunStreamingStudy (`streamed` true, see RunStreamedArtifacts), with a
+/// kDebug journal attached to `options.observer` (a local observer when
+/// null) for the duration of the run, and returns what it externalized.
+inline StudyArtifacts RunStudyArtifacts(const store::Ecosystem& eco,
+                                        core::StudyOptions options,
+                                        bool streamed) {
   if (streamed) {
-    core::StreamExporter exporter;
-    (void)core::RunStreamingStudy(core::EcosystemCorpusSource(eco), options,
-                                  exporter);
-    out.json = exporter.FinishJson();
-    out.csv = exporter.FinishCsv();
-    AddJournalAndReport(out, exporter.FinishVerdicts(), log);
-  } else {
-    core::Study study(eco, options);
-    study.Run();
-    out.json = core::ExportStudyJson(study);
-    out.csv = core::ExportStudyCsv(study);
-    AddJournalAndReport(out, core::CollectAppVerdicts(study), log);
+    return RunStreamedArtifacts(core::EcosystemCorpusSource(eco), options);
   }
+  obs::Observer local_observer;
+  if (options.observer == nullptr) options.observer = &local_observer;
+  obs::Observer& observer = *options.observer;
+  obs::EventLog log(obs::Severity::kDebug);
+  observer.set_log(&log);
+
+  StudyArtifacts out;
+  core::Study study(eco, options);
+  study.Run();
+  out.json = core::ExportStudyJson(study);
+  out.csv = core::ExportStudyCsv(study);
+  AddJournalAndReport(out, core::CollectAppVerdicts(study), log);
   observer.set_log(nullptr);
   return out;
 }
