@@ -38,15 +38,6 @@ inline int StudyThreads() {
   return 0;
 }
 
-/// The corpus-wide scan cache is on by default; PINSCOPE_SCAN_CACHE=0
-/// disables it (for before/after timing — the tables never change).
-inline bool ScanCacheEnabled() {
-  if (const char* env = std::getenv("PINSCOPE_SCAN_CACHE")) {
-    return std::string(env) != "0" && std::string(env) != "off";
-  }
-  return true;
-}
-
 /// The shared (per-process) study: generated once, analyzed once.
 inline const core::Study& GetStudy() {
   static const std::unique_ptr<core::Study> study = [] {
@@ -58,7 +49,6 @@ inline const core::Study& GetStudy() {
     static store::Ecosystem eco = store::Ecosystem::Generate(config);
     core::StudyOptions opts;
     opts.threads = StudyThreads();
-    opts.scan_cache = ScanCacheEnabled();
     std::fprintf(stderr, "[pinscope] running measurement pipeline (threads %d)...\n",
                  opts.threads);
     auto s = std::make_unique<core::Study>(eco, opts);

@@ -44,7 +44,7 @@ bool TakeValue(const std::string& arg, const std::string& flag,
   return false;
 }
 
-/// on|off flags (--scan-cache, --summary, --incremental).
+/// on|off flags (--summary, --incremental).
 bool TakeOnOff(const std::string& arg, const std::string& flag,
                ArgCursor& cursor, bool& out, bool& ok) {
   std::string v;
@@ -97,8 +97,6 @@ std::optional<CliOptions> ParseArgs(int argc, const char* const* argv) {
                      value.c_str());
         return std::nullopt;
       }
-    } else if (TakeOnOff(arg, "--scan-cache", cursor, opts.scan_cache, ok)) {
-      if (!ok) return std::nullopt;
     } else if (TakeOnOff(arg, "--summary", cursor, opts.summary, ok)) {
       if (!ok) return std::nullopt;
     } else if (arg == "--json") {

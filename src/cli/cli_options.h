@@ -25,7 +25,6 @@ struct CliOptions {
   int threads = 0;  // 0 = hardware concurrency
   /// --queue-depth: scheduler ready-queue capacity (0 = 2× worker count).
   int queue_depth = 0;
-  bool scan_cache = true;
   bool summary = true;
   std::string json_path;
   std::string csv_path;

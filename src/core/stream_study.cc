@@ -43,14 +43,11 @@ StreamStudyResult RunStreamingStudy(const CorpusSource& source,
   // The study-wide shared caches, warm-started from cache_dir when set. The
   // fixtures must share the pipeline's seed so shared forged leaves match
   // what an unshared pipeline would forge.
-  std::unique_ptr<staticanalysis::ScanCache> scan_cache;
-  if (options.scan_cache) {
-    scan_cache = std::make_unique<staticanalysis::ScanCache>();
-  }
+  const auto scan_cache = std::make_unique<staticanalysis::ScanCache>();
   const auto sim_fixtures =
       std::make_unique<dynamicanalysis::SimFixtures>(options.dynamic.seed);
   if (obs::MetricsRegistry* metrics = obs::MetricsOf(observer)) {
-    if (scan_cache) scan_cache->AttachMetrics(metrics);
+    scan_cache->AttachMetrics(metrics);
     sim_fixtures->AttachMetrics(metrics);
   }
   StudyCacheBaseline cache_baseline;

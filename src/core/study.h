@@ -57,14 +57,6 @@ struct StudyOptions {
   /// 1 = serial on the caller). Results are byte-identical for every value
   /// (DESIGN.md §8).
   int threads = 1;
-  /// Share one corpus-wide static-scan cache across every app of the study,
-  /// so files shipped identically by many apps (third-party SDKs, §5
-  /// Table 7) are scanned once instead of once per app. Exports are
-  /// byte-identical with the cache on or off (`ctest -L static`). Off is
-  /// for corpora without shared files: bench/stream_study.cc turns it off
-  /// so that its unique-payload stream keeps a flat memory peak instead of
-  /// a cache that grows with every app.
-  bool scan_cache = true;
   /// Optional observability sink for the whole study: the run opens a
   /// study-level span, each stage records per-app spans + phase-duration
   /// histograms, every layer below contributes counters, and the shared

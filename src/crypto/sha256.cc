@@ -8,8 +8,9 @@
 // (no global -march requirement) and selected at runtime via the shared
 // crypto/cpu dispatch helper, so one binary serves both old and new
 // machines. Content-hash scan caching (see staticanalysis/scan_cache.h)
-// hashes every corpus byte, which promoted SHA-256 from a per-pin nicety
-// to a scan-throughput bottleneck.
+// hashes every file of at least 16 KiB (kScanCacheMinBytes), which put
+// SHA-256 on the scan path; smaller files are not hashed, because there the
+// hash costs more than the scan.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PINSCOPE_SHA256_X86_SHANI 1
 #include <immintrin.h>

@@ -7,7 +7,10 @@
 // app after app. This cache memoizes the scanner's per-content outcome,
 // keyed by SHA-256 of the file bytes (src/crypto/sha256) plus the cert-file
 // flag, so any given content is scanned once per study no matter how many
-// apps ship it.
+// apps ship it. The scanner keys only files of at least kScanCacheMinBytes
+// (scanner.h): below that the hash costs more than the scan it could save,
+// so the entries are large payloads, and a corpus of small files leaves the
+// cache empty.
 //
 // The scan is a pure function of that key, so the shared memo's policy
 // (util/sharded_memo.h) makes residency unobservable. Cached entries store

@@ -124,7 +124,7 @@ void AppendRebound(const CachedFileScan& scan, const std::string& path,
   AppendPins(scan.pins, path, out);
 }
 
-// Move flavor for outcomes that are not kept anywhere else (cache off).
+// Move flavor for outcomes that are not kept anywhere else (uncached files).
 void AppendOwned(CachedFileScan&& scan, const std::string& path, ScanResult& out) {
   out.certificates.reserve(out.certificates.size() + scan.certificates.size());
   for (FoundCertificate& c : scan.certificates) {
@@ -238,7 +238,7 @@ ScanResult Scanner::Scan(const appmodel::PackageFiles& files, ScanCache* cache,
     out.bytes_scanned += content.size();
     const bool is_cert_file = HasCertFileSuffix(path);
 
-    if (cache == nullptr) {
+    if (cache == nullptr || content.size() < kScanCacheMinBytes) {
       CachedFileScan scan;
       ScanFile(content, is_cert_file, scan);
       AppendOwned(std::move(scan), path, out);

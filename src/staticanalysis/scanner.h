@@ -12,10 +12,10 @@
 // PinMatchLength confirms a pin at each `sha` without backtracking. Each pin
 // becomes one flat FoundPin record (its text and decoded digest inline), so
 // a file's pins are copied, cached, persisted and freed as one block. With a
-// ScanCache (see scan_cache.h) attached, files whose content was already
-// scanned anywhere in the corpus replay their cached outcome instead of being
-// rescanned — shared SDK artifacts are scanned once per study, not once per
-// app.
+// ScanCache (see scan_cache.h) attached, files of at least kScanCacheMinBytes
+// whose content was already scanned anywhere in the corpus replay their
+// cached outcome instead of being rescanned — large shared SDK artifacts are
+// scanned once per study, not once per app.
 #pragma once
 
 #include <array>
@@ -123,6 +123,13 @@ struct ScanResult {
 /// match is min(run, 64) body bytes when the run reaches 28.
 [[nodiscard]] std::size_t PinMatchLength(std::string_view text, std::size_t pos);
 
+/// The smallest file Scanner::Scan keys into a ScanCache. The key is a
+/// SHA-256 of the content, which costs more than rescanning evidence-free
+/// bytes at any size; below 16 KiB a hit saves at most ~25 µs even at the
+/// densest pin packing. Size is known before the hash (DESIGN.md §9, "What
+/// the cache admits", has the measured sweep).
+inline constexpr std::size_t kScanCacheMinBytes = 16 * 1024;
+
 /// The certificate-file extensions §4.1.2 searches for.
 [[nodiscard]] const std::vector<std::string>& CertFileSuffixes();
 
@@ -135,13 +142,14 @@ class Scanner {
  public:
   Scanner();
 
-  /// Scans a (decoded, decrypted) package tree. With `cache` non-null,
-  /// per-content outcomes are looked up / deposited there, keyed by
-  /// SHA-256(content) + cert-file flag; results are byte-identical with the
-  /// cache on or off. The cache may be shared across threads. With `metrics`
-  /// non-null the per-package tallies are also added to the study-wide
-  /// `static.*` counters (observational only — the returned ScanResult is
-  /// identical either way).
+  /// Scans a (decoded, decrypted) package tree. With `cache` non-null, each
+  /// file of at least kScanCacheMinBytes is looked up / deposited there,
+  /// keyed by SHA-256(content) + cert-file flag; smaller files are scanned
+  /// as if no cache were attached. Results are byte-identical either way,
+  /// and the cache may be shared across threads. With `metrics` non-null the
+  /// per-package tallies are also added to the study-wide `static.*`
+  /// counters (observational only — the returned ScanResult is identical
+  /// either way).
   [[nodiscard]] ScanResult Scan(const appmodel::PackageFiles& files,
                                 ScanCache* cache = nullptr,
                                 obs::MetricsRegistry* metrics = nullptr) const;

@@ -55,8 +55,9 @@ struct StaticAnalysisOptions {
   DecryptTool decrypt_tool = DecryptTool::kFlexdecrypt;
   /// CT log for hash→certificate resolution; nullptr skips resolution.
   const x509::CtLog* ct_log = nullptr;
-  /// Corpus-wide scan cache shared across apps (scan_cache.h); nullptr
-  /// scans every file uncached. Results are identical either way.
+  /// Corpus-wide scan cache shared across apps (scan_cache.h). It holds
+  /// files of at least kScanCacheMinBytes (scanner.h); nullptr scans every
+  /// file uncached. Results are identical either way.
   ScanCache* scan_cache = nullptr;
   /// Optional observability sink: the per-app scan span plus the study-wide
   /// `static.*` counters. Reports are byte-identical with or without it

@@ -26,7 +26,6 @@ TEST(ParseArgsTest, DefaultsMatchDocumentedHelp) {
   EXPECT_EQ(opts->seed, 42u);
   EXPECT_EQ(opts->threads, 0);
   EXPECT_EQ(opts->queue_depth, 0);
-  EXPECT_TRUE(opts->scan_cache);
   EXPECT_TRUE(opts->summary);
   EXPECT_TRUE(opts->json_path.empty());
   EXPECT_TRUE(opts->csv_path.empty());
@@ -73,14 +72,14 @@ TEST(ParseArgsTest, OutputFlagsAcceptBothSpellings) {
 
 TEST(ParseArgsTest, OnOffFlagsAcceptBothSpellings) {
   const auto spaced =
-      Parse({"study", "--scan-cache", "off", "--summary", "off"});
+      Parse({"study", "--incremental", "on", "--summary", "off"});
   ASSERT_TRUE(spaced.has_value());
-  EXPECT_FALSE(spaced->scan_cache);
+  EXPECT_TRUE(spaced->incremental);
   EXPECT_FALSE(spaced->summary);
 
-  const auto eq = Parse({"study", "--scan-cache=on", "--summary=off"});
+  const auto eq = Parse({"study", "--incremental=off", "--summary=off"});
   ASSERT_TRUE(eq.has_value());
-  EXPECT_TRUE(eq->scan_cache);
+  EXPECT_FALSE(eq->incremental);
   EXPECT_FALSE(eq->summary);
 }
 
@@ -109,7 +108,7 @@ TEST(ParseArgsTest, LogLevelAcceptsEverySeverity) {
 TEST(ParseArgsTest, RejectsBadValues) {
   EXPECT_FALSE(Parse({"study", "--log-level", "verbose"}).has_value());
   EXPECT_FALSE(Parse({"study", "--log-level="}).has_value());
-  EXPECT_FALSE(Parse({"study", "--scan-cache", "maybe"}).has_value());
+  EXPECT_FALSE(Parse({"study", "--incremental", "maybe"}).has_value());
   EXPECT_FALSE(Parse({"study", "--summary=yes"}).has_value());
   EXPECT_FALSE(Parse({"study", "--threads", "-1"}).has_value());
   EXPECT_FALSE(Parse({"study", "--queue-depth", "-2"}).has_value());
@@ -244,6 +243,8 @@ TEST(ParseArgsTest, AutopsyFlagsRejectBadValues) {
 TEST(ParseArgsTest, RejectsUnknownOptions) {
   EXPECT_FALSE(Parse({"study", "--log-format", "jsonl"}).has_value());
   EXPECT_FALSE(Parse({"study", "--bogus"}).has_value());
+  // The scan cache picks its files by size; there is no switch.
+  EXPECT_FALSE(Parse({"study", "--scan-cache=off"}).has_value());
 }
 
 TEST(ParseArgsTest, CollectsPositionalArguments) {

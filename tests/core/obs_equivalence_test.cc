@@ -76,11 +76,16 @@ TEST_P(ObsEquivalenceTest, RunPublishesAllThreeCacheFamiliesAsGauges) {
     ASSERT_TRUE(snap.gauges.count(prefix + "lookups"));
     ASSERT_TRUE(snap.gauges.count(prefix + "hits"));
     ASSERT_TRUE(snap.gauges.count(prefix + "entries"));
-    EXPECT_GT(snap.gauges.at(prefix + "lookups"), 0u);
     // Books balance: hits + misses == lookups.
     EXPECT_EQ(snap.gauges.at(prefix + "hits") + snap.gauges.at(prefix + "misses"),
               snap.gauges.at(prefix + "lookups"));
   }
+  EXPECT_GT(snap.gauges.at("cache.forged_leaf.lookups"), 0u);
+  EXPECT_GT(snap.gauges.at("cache.validation.lookups"), 0u);
+  // Every file of the study corpus is below kScanCacheMinBytes, so the scan
+  // cache publishes its family but is never consulted.
+  EXPECT_EQ(snap.gauges.at("cache.scan.lookups"), 0u);
+  EXPECT_EQ(snap.gauges.at("cache.scan.entries"), 0u);
 
   // The study corpus apps share SDK chains, so the validation memo must be warm —
   // the published hit-rate is real, not a zero numerator.

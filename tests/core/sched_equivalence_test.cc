@@ -1,7 +1,7 @@
 // Scheduler-equivalence suite (DESIGN.md §13): the schedule is a pure
 // execution-order change. For every cell of the grid
-//   seeds {7, 23} × threads {1, 4, hardware_concurrency} × scan cache
-//   {on, off} × driver {Study::Run, RunStreamingStudy}
+//   seeds {7, 23} × threads {1, 4, hardware_concurrency} × driver
+//   {Study::Run, RunStreamingStudy}
 // the run must reproduce the golden digests in tests/golden/ of
 //   (a) the JSON and CSV dataset exports,
 //   (b) the decision-journal JSONL (full kDebug fidelity), and
@@ -36,7 +36,6 @@ using pinscope::testing::RunStudyArtifacts;
 
 struct RunConfig {
   int threads = 1;
-  bool scan_cache = true;
   std::size_t queue_depth = 0;
   bool streamed = false;
 };
@@ -46,7 +45,6 @@ std::string RunDigests(const store::Ecosystem& eco, const RunConfig& config,
   StudyOptions opts;
   opts.threads = config.threads;
   opts.queue_depth = config.queue_depth;
-  opts.scan_cache = config.scan_cache;
   opts.observer = observer;
   return DigestLines(RunStudyArtifacts(eco, opts, config.streamed));
 }
@@ -59,16 +57,12 @@ TEST_P(SchedEquivalenceTest, EveryConfigurationMatchesTheGoldenDigests) {
   const std::string golden = ReadStudyGolden(GetParam());
 
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  for (const bool scan_cache : {true, false}) {
-    for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
-      for (const bool streamed : {false, true}) {
-        SCOPED_TRACE("scan_cache=" + std::to_string(scan_cache) +
-                     " threads=" + std::to_string(threads) +
-                     " streamed=" + std::to_string(streamed));
-        EXPECT_EQ(golden, RunDigests(eco, {.threads = threads,
-                                           .scan_cache = scan_cache,
-                                           .streamed = streamed}));
-      }
+  for (const int threads : {1, 4, hw > 0 ? hw : 2}) {
+    for (const bool streamed : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " streamed=" + std::to_string(streamed));
+      EXPECT_EQ(golden,
+                RunDigests(eco, {.threads = threads, .streamed = streamed}));
     }
   }
 }

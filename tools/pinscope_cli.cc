@@ -53,7 +53,6 @@ core::StudyOptions StudyOptionsFor(const CliOptions& opts,
   core::StudyOptions sopts;
   sopts.threads = opts.threads;
   sopts.queue_depth = static_cast<std::size_t>(opts.queue_depth);
-  sopts.scan_cache = opts.scan_cache;
   sopts.cache_dir = opts.cache_dir;
   sopts.observer = observer;
   return sopts;
@@ -265,9 +264,6 @@ int Usage() {
       "                      buffered work and applies backpressure (0 = 2x\n"
       "                      workers; results are identical for every N;\n"
       "                      DESIGN.md §13)\n"
-      "  --scan-cache=on|off corpus-wide static-scan cache: shared SDK files\n"
-      "                      are scanned once per study (default on; results\n"
-      "                      are byte-identical either way)\n"
       "  --json FILE         (study) export per-app records as JSON Lines\n"
       "  --csv FILE          (study) export per-destination rows as CSV\n"
       "  --metrics-out FILE  (study/tables) write pipeline metrics — counters,\n"
