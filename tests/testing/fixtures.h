@@ -11,8 +11,10 @@
 
 #include "appmodel/app.h"
 #include "appmodel/server_world.h"
+#include "staticanalysis/scanner.h"
 #include "store/generator.h"
 #include "tls/pinning.h"
+#include "util/bytes.h"
 
 namespace pinscope::testing {
 
@@ -45,6 +47,26 @@ inline const store::Ecosystem& MakeStudyCorpus(std::uint64_t seed,
 /// MakeStudyCorpus for the cache semantics).
 inline const store::Ecosystem& MiniCorpus(std::uint64_t seed = 7) {
   return MakeStudyCorpus(seed, 16);
+}
+
+/// `text` plus a newline and evidence-free lines (no `sha`, no PEM marker),
+/// at least staticanalysis::kScanCacheMinBytes long: the scan cache admits
+/// the file, and every match and offset in `text` stays where it was.
+inline std::string Cacheable(std::string text) {
+  text += '\n';
+  while (text.size() < staticanalysis::kScanCacheMinBytes) {
+    text += "padding, no evidence here\n";
+  }
+  return text;
+}
+
+/// `bytes` followed by NULs, which join no printable run, up to
+/// staticanalysis::kScanCacheMinBytes.
+inline util::Bytes Cacheable(util::Bytes bytes) {
+  if (bytes.size() < staticanalysis::kScanCacheMinBytes) {
+    bytes.resize(staticanalysis::kScanCacheMinBytes, 0);
+  }
+  return bytes;
 }
 
 /// A world with a handful of servers an app under test can contact.
