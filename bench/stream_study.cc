@@ -13,9 +13,10 @@
 //
 //  2. Warm starts: persisting the content-keyed scan and validation caches
 //     (--cache-dir) makes re-analysis of an unchanged corpus much cheaper.
-//     Witness: a unique-payload corpus (every app a distinct content digest,
-//     stacked PEM blocks per file) where the in-run cache can never help
-//     across apps — cold scans pay full price, a second run over the same
+//     Witness: a unique-payload corpus (every index a distinct content
+//     digest, shared by its Android and iOS app; 8,000 pin strings per
+//     payload) where the in-run cache helps only within each such pair —
+//     cold scans pay full price for every index, a second run over the same
 //     corpus with the persisted caches hits everything. A byte-equality
 //     guard on the exports enforces that warm results are identical to cold.
 //

@@ -40,8 +40,9 @@ const std::string& SyntheticCorpusSource::HostFor(std::size_t index) const {
 std::string SyntheticCorpusSource::PayloadFor(std::size_t index) const {
   std::string payload;
   if (config_.unique_payload) {
-    // A distinct first line gives every app a distinct content digest, so
-    // only a *persisted* cache from a previous run can dedup the scan.
+    // A distinct first line gives every index a distinct content digest.
+    // Both platforms' apps of one index share it, so the in-run cache dedups
+    // only that pair; across indices only a *persisted* cache can.
     payload += "corpus-" + std::to_string(index) + "\n";
   }
   for (std::size_t c = 0; c < config_.pem_certs_in_payload; ++c) {

@@ -11,12 +11,15 @@
 //
 // Two content regimes, chosen per config:
 //  - Shared payload (unique_payload = false): every app ships the same
-//    filler blob — the duplicated-SDK shape where the in-run scan cache
-//    already deduplicates everything. Used for the flat-RSS sweep.
-//  - Unique payload (unique_payload = true): each app's blob starts with a
-//    per-index line, so every app has a distinct content digest and the
-//    in-run cache can never help across apps — but a persisted cache from a
-//    previous run over the same corpus hits every file. Stack
+//    filler blob — the duplicated-SDK shape. At the default 4 KiB the blob
+//    is below kScanCacheMinBytes, so the scan cache never admits it. Used
+//    for the flat-RSS sweep.
+//  - Unique payload (unique_payload = true): each index's blob starts with a
+//    per-index line, so every index has a distinct content digest. The
+//    platform plays no part: the Android and iOS app of one index ship the
+//    same blob, so the in-run cache hits on the second of the two, and a
+//    persisted cache from a previous run over the same corpus hits every
+//    file. Stack
 //    `pem_certs_in_payload` PEM blocks into the blob to make each cold scan
 //    arbitrarily expensive (every block is found, parsed, and
 //    fingerprinted). Used for the warm-vs-cold benchmark.

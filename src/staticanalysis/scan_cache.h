@@ -87,7 +87,10 @@ class ScanCache
   }
 
   static constexpr std::uint32_t kFileKind = 0x314e4353;  // "SCN1"
-  static constexpr std::uint32_t kFileVersion = 1;
+  /// Version 2 files hold only entries the kScanCacheMinBytes admission
+  /// rule can reach; a version 1 file may also hold small-file entries no
+  /// lookup reaches, so it loads nothing and the next save replaces it.
+  static constexpr std::uint32_t kFileVersion = 2;
 };
 
 }  // namespace pinscope::staticanalysis

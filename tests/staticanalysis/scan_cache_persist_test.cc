@@ -2,7 +2,8 @@
 // cache reloads into an equal cache (equal caches re-serialize to identical
 // bytes), a fixed package set saves to golden bytes, a warm cache serves
 // scans identical to cold ones, every damaged file and every record no scan
-// can produce loads nothing (the cold-start path), and concurrent saves into
+// can produce loads nothing (the cold-start path), a file of an older format
+// version is replaced by the next study's save, and concurrent saves into
 // one path are last-writer-wins through the atomic rename. Carries the `stream`
 // ctest label so it also runs under the sanitizer presets. Every file is
 // padded to at least kScanCacheMinBytes with evidence-free bytes after its
@@ -14,12 +15,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "appmodel/package.h"
+#include "core/cache_persist.h"
 #include "crypto/sha256.h"
+#include "obs/obs.h"
 #include "staticanalysis/scanner.h"
 #include "testing/fixtures.h"
 #include "tls/pinning.h"
@@ -160,7 +164,7 @@ TEST_F(ScanCachePersistTest, SavedBytesMatchTheGoldenDigest) {
   const std::string path = PathFor("golden.pscf");
   ASSERT_TRUE(cache.SaveToFile(path));
   EXPECT_EQ(Sha256Hex(ReadFileBytes(path)),
-            "7ed6c824590d611bb561691dde7609271c8fdc48596883f74271f9223d84b24b");
+            "bbc53c7ac3299b36138eefef6e21fb211bdb65c48b9a1843ce775eaff9642b3f");
 }
 
 TEST_F(ScanCachePersistTest, WarmCacheServesScansIdenticalToCold) {
@@ -240,6 +244,43 @@ TEST_F(ScanCachePersistTest, DamagedFilesLoadNothing) {
   ScanCache missing;
   EXPECT_FALSE(missing.LoadFromFile(PathFor("never-written.pscf")));
   EXPECT_EQ(missing.EntryCount(), 0u);
+}
+
+// A version 1 file may hold entries for files below kScanCacheMinBytes that
+// no lookup reaches, and a warm start would load and checksum them every
+// run. It loads nothing now, and the study's save replaces it with a file
+// of the current version.
+TEST_F(ScanCachePersistTest, VersionOneFileLoadsNothingAndIsReplaced) {
+  const Scanner scanner;
+  ScanCache cold;
+  (void)scanner.Scan(SamplePackage("stale"), &cold);
+  ASSERT_GT(cold.EntryCount(), 0u);
+  const std::string current = PathFor("current.pscf");
+  ASSERT_TRUE(cold.SaveToFile(current));
+  const std::optional<util::Bytes> payload = util::ReadCacheFile(
+      current, ScanCache::kFileKind, ScanCache::kFileVersion);
+  ASSERT_TRUE(payload.has_value());
+
+  // The same entries under a version 1 header, where a warm start looks.
+  const std::string cache_dir = PathFor("cache");
+  std::filesystem::create_directories(cache_dir);
+  const std::string path = core::ScanCachePathFor(cache_dir);
+  ASSERT_TRUE(util::WriteCacheFile(path, ScanCache::kFileKind, 1, *payload));
+
+  obs::Observer observer;
+  ScanCache warm;
+  const core::StudyCacheBaseline baseline =
+      core::LoadStudyCaches(cache_dir, &warm, nullptr, &observer);
+  EXPECT_EQ(observer.metrics().Snapshot().gauges.at("cache.persist.scan_loaded"),
+            0u);
+  EXPECT_EQ(warm.EntryCount(), 0u);
+
+  (void)scanner.Scan(SamplePackage("stale"), &warm);
+  core::SaveStudyCaches(cache_dir, &warm, nullptr, &observer, baseline);
+  EXPECT_EQ(observer.metrics().Snapshot().gauges.at("cache.persist.scan_saved"),
+            1u);
+  EXPECT_FALSE(util::ReadCacheFile(path, ScanCache::kFileKind, 1).has_value());
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(current));
 }
 
 // A one-entry payload holding one decoded pin record, laid out as SaveToFile

@@ -7,8 +7,9 @@
 //       optionally export the per-app dataset.
 //   pinscope audit APP_ID [--scale S] [--seed N]
 //       Static + dynamic + circumvention audit of a single app.
-//   pinscope tables [--scale S] [--seed N]
-//       Print every paper table from a fresh study.
+//   pinscope tables [--scale S] [--seed N] [--threads T]
+//       Run one study and print every paper table, figure, text claim and
+//       ablation as one JSON Lines document on stdout (tools/paper_tables.h).
 //   pinscope longitudinal [--scale S] [--seed N] [--snapshot K]
 //       Advance the store through K churn epochs and print the pin-rotation /
 //       key-reuse table (EXPERIMENTS.md §longitudinal).
@@ -36,6 +37,7 @@
 #include "obs/process.h"
 #include "obs/telemetry.h"
 #include "obs/timeline.h"
+#include "paper_tables.h"
 #include "report/perf_report.h"
 #include "report/run_report.h"
 #include "report/table.h"
@@ -83,9 +85,10 @@ std::unique_ptr<obs::Telemetry> StartTelemetry(const CliOptions& opts,
 }
 
 /// Prints the --summary table and writes --metrics-out / --trace-out /
-/// --log-out files. A `.prom` metrics path selects the OpenMetrics text
-/// format instead of JSON.
-void EmitObservability(obs::Observer& observer, const CliOptions& opts) {
+/// --log-out files, narrating on `out`. A `.prom` metrics path selects the
+/// OpenMetrics text format instead of JSON.
+void EmitObservability(obs::Observer& observer, const CliOptions& opts,
+                       std::FILE* out) {
   obs::PublishPeakRss(&observer.metrics());
   // Published only when the trace cap actually dropped events, so a normal
   // (unbounded or under-cap) run's summary is unchanged.
@@ -100,26 +103,27 @@ void EmitObservability(obs::Observer& observer, const CliOptions& opts) {
                  dropped, observer.trace().max_events());
   }
   const obs::MetricsSnapshot snapshot = observer.metrics().Snapshot();
-  if (opts.summary) std::printf("%s", obs::RenderSummary(snapshot).c_str());
+  if (opts.summary) std::fputs(obs::RenderSummary(snapshot).c_str(), out);
   if (!opts.metrics_path.empty()) {
     const bool open_metrics = util::EndsWith(opts.metrics_path, ".prom");
-    std::ofstream out(opts.metrics_path);
-    out << (open_metrics ? obs::WriteMetricsOpenMetrics(snapshot)
-                         : obs::WriteMetricsJson(snapshot));
-    std::printf("wrote metrics %s to %s\n", open_metrics ? "OpenMetrics" : "JSON",
-                opts.metrics_path.c_str());
+    std::ofstream file(opts.metrics_path);
+    file << (open_metrics ? obs::WriteMetricsOpenMetrics(snapshot)
+                          : obs::WriteMetricsJson(snapshot));
+    std::fprintf(out, "wrote metrics %s to %s\n",
+                 open_metrics ? "OpenMetrics" : "JSON",
+                 opts.metrics_path.c_str());
   }
   if (!opts.trace_path.empty()) {
-    std::ofstream out(opts.trace_path);
-    out << observer.trace().ToJson();
-    std::printf("wrote Chrome trace (%zu events) to %s\n",
-                observer.trace().EventCount(), opts.trace_path.c_str());
+    std::ofstream file(opts.trace_path);
+    file << observer.trace().ToJson();
+    std::fprintf(out, "wrote Chrome trace (%zu events) to %s\n",
+                 observer.trace().EventCount(), opts.trace_path.c_str());
   }
   if (!opts.log_path.empty() && observer.log() != nullptr) {
-    std::ofstream out(opts.log_path);
-    out << observer.log()->ToJsonl();
-    std::printf("wrote decision journal (%zu events) to %s\n",
-                observer.log()->EventCount(), opts.log_path.c_str());
+    std::ofstream file(opts.log_path);
+    file << observer.log()->ToJsonl();
+    std::fprintf(out, "wrote decision journal (%zu events) to %s\n",
+                 observer.log()->EventCount(), opts.log_path.c_str());
   }
 }
 
@@ -193,10 +197,11 @@ void EmitPerfArtifacts(const obs::Timeline* timeline,
 }
 
 /// Writes the --report-out run report (Markdown plus a JSON companion next
-/// to it) from the study's verdicts, the metrics snapshot, and the journal.
+/// to it) from the study's verdicts, the metrics snapshot, and the journal,
+/// and says so on `out`.
 void EmitRunReportVerdicts(const std::vector<report::AppVerdict>& verdicts,
                            const obs::Observer& observer,
-                           const CliOptions& opts) {
+                           const CliOptions& opts, std::FILE* out) {
   if (opts.report_path.empty()) return;
   const obs::MetricsSnapshot snapshot = observer.metrics().Snapshot();
   std::vector<obs::LogEvent> events;
@@ -206,22 +211,22 @@ void EmitRunReportVerdicts(const std::vector<report::AppVerdict>& verdicts,
   input.metrics = &snapshot;
   input.events = &events;
   {
-    std::ofstream out(opts.report_path);
-    out << report::WriteRunReportMarkdown(input);
+    std::ofstream file(opts.report_path);
+    file << report::WriteRunReportMarkdown(input);
   }
   const std::string json_path = report::ReportJsonPathFor(opts.report_path);
   {
-    std::ofstream out(json_path);
-    out << report::WriteRunReportJson(input);
+    std::ofstream file(json_path);
+    file << report::WriteRunReportJson(input);
   }
-  std::printf("wrote run report to %s (and %s)\n", opts.report_path.c_str(),
-              json_path.c_str());
+  std::fprintf(out, "wrote run report to %s (and %s)\n",
+               opts.report_path.c_str(), json_path.c_str());
 }
 
 void EmitRunReport(const core::Study& study, const obs::Observer& observer,
-                   const CliOptions& opts) {
+                   const CliOptions& opts, std::FILE* out) {
   if (opts.report_path.empty()) return;
-  EmitRunReportVerdicts(core::CollectAppVerdicts(study), observer, opts);
+  EmitRunReportVerdicts(core::CollectAppVerdicts(study), observer, opts, out);
 }
 
 void PrintChurn(const store::SnapshotChurn& c) {
@@ -246,7 +251,7 @@ int Usage() {
       "  generate            generate an ecosystem, print corpus summary\n"
       "  study               run the full study, print prevalence\n"
       "  audit APP_ID        audit one app (static + dynamic + circumvention)\n"
-      "  tables              print every paper table\n"
+      "  tables              print every paper table and figure as JSON Lines\n"
       "  autopsy             run the study with the interval timeline attached\n"
       "                      and print the causal profile: critical path,\n"
       "                      per-worker idle attribution, slowest apps, and\n"
@@ -420,8 +425,8 @@ int CmdStudyIncremental(const CliOptions& opts) {
               base_run.apps, delta_run.apps, verdicts.size(), eco.snapshot());
 
   if (telemetry != nullptr) telemetry->Stop();
-  EmitObservability(observer, opts);
-  EmitRunReportVerdicts(verdicts, observer, opts);
+  EmitObservability(observer, opts, stdout);
+  EmitRunReportVerdicts(verdicts, observer, opts, stdout);
   if (!opts.json_path.empty()) {
     std::ofstream out(opts.json_path);
     out << merged.FinishJson();
@@ -480,8 +485,8 @@ int CmdStudy(const CliOptions& opts) {
 
   // Cache hit-rates, phase timings, and pipeline counters all come from the
   // unified registry now (the caches publish gauges when Run() finishes).
-  EmitObservability(observer, opts);
-  EmitRunReport(study, observer, opts);
+  EmitObservability(observer, opts, stdout);
+  EmitRunReport(study, observer, opts, stdout);
   EmitPerfArtifacts(timeline.get(), eco, observer, opts, /*print=*/false);
 
   if (!opts.json_path.empty()) ExportJson(study, opts.json_path);
@@ -555,6 +560,10 @@ int CmdAudit(const CliOptions& opts) {
   return 0;
 }
 
+/// `pinscope tables`: the paper run. One study, then every table, figure,
+/// text claim and ablation as one JSON Lines document on stdout; the
+/// summary and "wrote ..." lines go to stderr, so stdout can be redirected
+/// to a file.
 int CmdTables(const CliOptions& opts) {
   const store::Ecosystem eco = Generate(opts);
   obs::Observer observer;
@@ -568,39 +577,14 @@ int CmdTables(const CliOptions& opts) {
       StartTelemetry(opts, observer);
   sopts.telemetry = telemetry.get();
   core::Study study(eco, sopts);
+  std::fprintf(stderr, "[pinscope] running measurement pipeline\n");
   study.Run();
   if (telemetry != nullptr) telemetry->Stop();
 
-  std::printf("%s", report::SectionHeader("Prevalence (Table 3)").c_str());
-  for (const store::DatasetId id : store::AllDatasets()) {
-    for (const appmodel::Platform p :
-         {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-      const auto row = core::ComputePrevalence(study, id, p);
-      std::printf("  %-7s %-7s dyn %3d  static %3d  nsc %3d  (n=%d)\n",
-                  store::DatasetName(id).data(), PlatformName(p).data(),
-                  row.dynamic_pinning, row.embedded_static, row.config_pinning,
-                  row.total);
-    }
-  }
-
-  for (const appmodel::Platform p :
-       {appmodel::Platform::kAndroid, appmodel::Platform::kIos}) {
-    std::printf("%s", report::SectionHeader(
-                          std::string("Pinning categories (Tables 4/5) — ") +
-                          std::string(PlatformName(p))).c_str());
-    for (const auto& row : core::ComputePinningByCategory(study, p, 5, 3)) {
-      std::printf("  %-20s %5.1f%%  (%d apps)\n", row.category.c_str(),
-                  row.pinning_pct, row.pinning_apps);
-    }
-    const auto pki = core::ComputePkiCounts(study, p);
-    std::printf("%s", report::SectionHeader(
-                          std::string("PKI (Table 6) — ") +
-                          std::string(PlatformName(p))).c_str());
-    std::printf("  default %d / custom %d / unavailable %d (self-signed %d)\n",
-                pki.default_pki, pki.custom_pki, pki.unavailable, pki.self_signed);
-  }
-  EmitObservability(observer, opts);
-  EmitRunReport(study, observer, opts);
+  std::fprintf(stderr, "[pinscope] computing the paper tables\n");
+  std::fputs(paper::PaperTablesJsonl(study).c_str(), stdout);
+  EmitObservability(observer, opts, stderr);
+  EmitRunReport(study, observer, opts, stderr);
   return 0;
 }
 
