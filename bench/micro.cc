@@ -1,6 +1,7 @@
 // Microbenchmarks of the pipeline's hot paths (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "appmodel/android_package.h"
@@ -10,6 +11,7 @@
 #include "dynamicanalysis/pipeline.h"
 #include "dynamicanalysis/sim_fixtures.h"
 #include "net/mitm_proxy.h"
+#include "obs/timeline.h"
 #include "appmodel/ios_package.h"
 #include "staticanalysis/ios_decrypt.h"
 #include "staticanalysis/nsc_analyzer.h"
@@ -411,5 +413,35 @@ void BM_PinPolicyEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PinPolicyEvaluate)->Arg(1)->Arg(16)->Arg(128);
+
+// The run autopsy's record path: what one stage interval costs the worker
+// that records it. Each benchmark thread records into its own lane of one
+// shared Timeline, as the scheduler's workers do; past the lane's reservoir
+// cap (8,192 intervals) every call is a reservoir draw, the steady state of
+// a long stream. The interval bounds are counters, so no clock read is
+// timed. `ns_per_interval` is CPU time per call on one recording thread.
+std::unique_ptr<obs::Timeline> record_timeline;
+std::uint32_t record_label = 0;
+
+void BM_TimelineRecord(benchmark::State& state) {
+  const auto worker = static_cast<std::uint32_t>(state.thread_index());
+  std::int64_t now_us = 0;
+  for (auto _ : state) {
+    record_timeline->RecordStage(worker, static_cast<std::uint64_t>(now_us),
+                                 record_label, now_us, now_us + 1);
+    benchmark::ClobberMemory();
+    ++now_us;
+  }
+  state.counters["ns_per_interval"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TimelineRecord)
+    ->Setup([](const benchmark::State&) {
+      record_timeline = std::make_unique<obs::Timeline>();
+      record_label = record_timeline->InternStage("static");
+    })
+    ->Teardown([](const benchmark::State&) { record_timeline.reset(); })
+    ->ThreadRange(1, 4);
 
 }  // namespace

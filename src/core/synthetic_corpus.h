@@ -6,7 +6,7 @@
 // nothing but (seed, platform, index). SyntheticCorpusSource is that: a
 // small fixed ServerWorld plus a pure per-index app factory. It makes no
 // attempt to match the paper's calibrated distributions; it exists to let
-// bench_stream hydrate 100k apps without 100k apps ever coexisting, and to
+// a stream hydrate 100k apps without 100k apps ever coexisting, and to
 // construct warm-vs-cold corpora with controllable scan cost.
 //
 // Two content regimes, chosen per config:

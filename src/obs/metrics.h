@@ -271,8 +271,8 @@ class ScopedTimer {
 [[nodiscard]] std::string WriteMetricsOpenMetrics(const MetricsSnapshot& snapshot);
 
 /// Serializes the histograms whose names start with `prefix` as a compact
-/// JSON object of per-phase totals (ms) — the breakdown the bench harnesses
-/// embed into their BENCH_*.json.
+/// JSON object of per-phase totals (ms). Nothing calls it; deleting it moves
+/// pinbench's burst loop; it goes once that loop is pinned (ROADMAP item 1a).
 [[nodiscard]] std::string WritePhaseBreakdownJson(
     const MetricsSnapshot& snapshot, std::string_view prefix = "phase.");
 

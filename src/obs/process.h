@@ -4,7 +4,7 @@
 // bounded RSS no matter the corpus size. That contract needs a witness, so
 // this header reads the process's peak resident set ("high-water mark") and
 // publishes it as the `process.peak_rss_bytes` gauge — in --metrics-out
-// files and embedded in every BENCH_*.json. The live-telemetry work (§16)
+// files and pinbench's `peak_rss_mb`. The live-telemetry work (§16)
 // adds the instantaneous view: `process.rss_bytes` (VmRSS), re-published on
 // every telemetry tick so the live .prom snapshot and heartbeat carry a
 // current value rather than one sampled at exit.

@@ -194,8 +194,8 @@ class Telemetry {
   [[nodiscard]] std::vector<StragglerRow> Stragglers(std::size_t k) const;
 
   /// The recorded frames as a JSON array (tick, elapsed_ms, done, rss,
-  /// queue depth) — what bench_stream embeds into BENCH_stream.json so the
-  /// flat-RSS claim is a curve, not a single number.
+  /// queue depth, inflight). Nothing calls it; deleting it moves pinbench's
+  /// burst loop, so it goes once that loop is pinned (ROADMAP item 1a).
   [[nodiscard]] std::string TimelineJson() const;
 
  private:

@@ -1,4 +1,4 @@
-// Plain-text table and heatmap rendering for the bench harnesses.
+// Plain-text table and heatmap rendering for the CLI and the examples.
 #pragma once
 
 #include <string>

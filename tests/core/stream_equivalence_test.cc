@@ -260,9 +260,9 @@ TEST(StreamScanCacheTest, PinDenseStudyCachesEachDistinctPayloadOnce) {
 }
 
 TEST(StreamScanCacheTest, SharedPayloadStreamKeepsNoScanCacheEntries) {
-  // bench_stream's shape: every file, the shared 4 KiB payload included, is
-  // below kScanCacheMinBytes, so the cache stays empty however long the
-  // stream runs.
+  // The memory test's shape (stream_memory_test.cc): every file, the shared
+  // 4 KiB payload included, is below kScanCacheMinBytes, so the cache stays
+  // empty however long the stream runs.
   SyntheticCorpusConfig config;
   config.apps_per_platform = 1000;
   const SyntheticCorpusSource source(config);
